@@ -134,16 +134,12 @@ let run () =
     (* The operator reads the home disposition off-line and forces it. *)
     let home_disposition =
       Tmf.disposition (Cluster.tmf cluster) ~node:1
-        (Option.get
-           (Tmf.Transid.of_string
-              (fst (List.hd (Tandem_audit.Monitor_trail.entries
-                               (Tmf.node_state (Cluster.tmf cluster) 1).Tmf.Tmf_state.monitor)))))
+        (fst (List.hd (Tandem_audit.Monitor_trail.entries
+                         (Tmf.node_state (Cluster.tmf cluster) 1).Tmf.Tmf_state.monitor)))
     in
     let transid =
-      Option.get
-        (Tmf.Transid.of_string
-           (fst (List.hd (Tandem_audit.Monitor_trail.entries
-                            (Tmf.node_state (Cluster.tmf cluster) 1).Tmf.Tmf_state.monitor))))
+      fst (List.hd (Tandem_audit.Monitor_trail.entries
+                      (Tmf.node_state (Cluster.tmf cluster) 1).Tmf.Tmf_state.monitor))
     in
     Cluster.run_client cluster ~node:2 ~cpu:0 (fun process ->
         Tmf.Tmp.force_disposition (Tmf.tmp (Cluster.tmf cluster) 2) ~self:process

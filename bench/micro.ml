@@ -49,7 +49,7 @@ let lock_cycle =
   let counter = ref 0 in
   Test.make ~name:"lock acquire + release_all" (Staged.stage (fun () ->
       incr counter;
-      let owner = string_of_int (!counter land 7) in
+      let owner = Transid.make ~home:1 ~cpu:0 ~seq:(!counter land 7) in
       ignore
         (Tandem_lock.Lock_table.try_acquire locks ~owner
            (Tandem_lock.Lock_table.Record_lock
@@ -66,7 +66,8 @@ let audit_append =
   let trail = Tandem_audit.Audit_trail.create volume ~name:"$B" () in
   Test.make ~name:"audit trail append" (Staged.stage (fun () ->
       ignore
-        (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1"
+        (Tandem_audit.Audit_trail.append trail
+           ~transid:(Transid.make ~home:1 ~cpu:0 ~seq:1)
            {
              Tandem_audit.Audit_record.volume = "$B";
              file = "F";
@@ -112,23 +113,26 @@ let backout_scan =
   for i = 0 to 9_999 do
     ignore
       (Tandem_audit.Audit_trail.append trail
-         ~transid:(Printf.sprintf "1.0.%d" (i mod 16))
+         ~transid:(Transid.make ~home:1 ~cpu:0 ~seq:(i mod 16))
          (trail_image (string_of_int i)))
   done;
   Test.make ~name:"audit backout scan (10k-record trail)"
     (Staged.stage (fun () ->
-         ignore (Tandem_audit.Audit_trail.records_for trail ~transid:"1.0.7")))
+         ignore
+           (Tandem_audit.Audit_trail.records_for trail
+              ~transid:(Transid.make ~home:1 ~cpu:0 ~seq:7))))
 
 let audit_append_fill =
   (* The cumulative append cost of filling one large audit file (trails
      configured for few rollovers see multi-thousand-record files; a
      per-append length scan makes the fill quadratic). *)
   let image = trail_image "k" in
+  let transid = Transid.make ~home:1 ~cpu:0 ~seq:1 in
   Test.make ~name:"audit append (2k-record file fill)"
     (Staged.stage (fun () ->
          let trail = make_trail ~records_per_file:2_000 () in
          for _ = 0 to 1_999 do
-           ignore (Tandem_audit.Audit_trail.append trail ~transid:"1.0.1" image)
+           ignore (Tandem_audit.Audit_trail.append trail ~transid image)
          done))
 
 let lock_release_scaling =
@@ -143,7 +147,7 @@ let lock_release_scaling =
     for k = 0 to 1_999 do
       ignore
         (Tandem_lock.Lock_table.try_acquire locks
-           ~owner:(Printf.sprintf "bg%d" (k mod 10))
+           ~owner:(Transid.make ~home:2 ~cpu:0 ~seq:(k mod 10))
            (Tandem_lock.Lock_table.Record_lock
               { file = Printf.sprintf "F%d" file; key = Printf.sprintf "%d" k }))
     done
@@ -153,15 +157,15 @@ let lock_release_scaling =
         Tandem_lock.Lock_table.Record_lock
           { file = "F0"; key = Printf.sprintf "b%d" k })
   in
+  let owner = Transid.make ~home:1 ~cpu:0 ~seq:0 in
   Test.make ~name:"lock release_all (1k locks, 300k-lock table)"
     (Staged.stage (fun () ->
          Array.iter
            (fun resource ->
              ignore
-               (Tandem_lock.Lock_table.try_acquire locks ~owner:"bench"
-                  resource))
+               (Tandem_lock.Lock_table.try_acquire locks ~owner resource))
            wanted;
-         Tandem_lock.Lock_table.release_all locks ~owner:"bench"))
+         Tandem_lock.Lock_table.release_all locks ~owner))
 
 let safe_queue_fill =
   (* The TMP safe-delivery queue: enqueue 1k phase-two messages (the engine
@@ -182,7 +186,8 @@ let safe_queue_fill =
          in
          let tmp = Tmf.Tmp.spawn ~net ~state ~primary_cpu:0 ~backup_cpu:1 () in
          for i = 0 to 999 do
-           Tmf.Tmp.safe_deliver tmp 2 (Tmf.Tmp.Phase2_commit (string_of_int i))
+           Tmf.Tmp.safe_deliver tmp 2
+             (Tmf.Tmp.Phase2_commit (Transid.make ~home:1 ~cpu:0 ~seq:i))
          done))
 
 let mailbox_fifo =

@@ -280,7 +280,7 @@ let pp_time_us formatter = function
   | Some at -> Format.fprintf formatter "%a" Sim_time.pp at
 
 let print_timeline span =
-  Format.printf "  %s [%s]@." span.Span.span_id
+  Format.printf "  %a [%s]@." Transid.pp span.Span.span_id
     (Span.outcome_to_string span.Span.outcome);
   Format.printf "    begin=%a phase1=%a phase2=%a backout=%a end=%a@."
     Sim_time.pp span.Span.begin_at pp_time_us span.Span.phase1_at pp_time_us

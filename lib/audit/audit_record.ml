@@ -6,10 +6,9 @@ type image = {
   after : string option;
 }
 
-type t = { sequence : int; transid : string; image : image }
+type t = { sequence : int; transid : Tandem_sim.Transid.t; image : image }
 
-let of_change ~volume ~transid (change : Tandem_db.File.change) =
-  ignore transid;
+let of_change ~volume (change : Tandem_db.File.change) =
   {
     volume;
     file = change.Tandem_db.File.file;
@@ -48,9 +47,11 @@ let image_size image =
   String.length image.file + String.length image.key + side image.before
   + side image.after + 16
 
-let size_bytes t = image_size t.image + String.length t.transid + 8
+let size_bytes t =
+  image_size t.image + Tandem_sim.Transid.text_length t.transid + 8
 
 let pp formatter t =
   let side = function Some _ -> "*" | None -> "-" in
-  Format.fprintf formatter "#%d %s %s[%S] %s->%s" t.sequence t.transid
+  Format.fprintf formatter "#%d %a %s[%S] %s->%s" t.sequence
+    Tandem_sim.Transid.pp t.transid
     t.image.file t.image.key (side t.image.before) (side t.image.after)

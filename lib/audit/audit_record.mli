@@ -1,8 +1,5 @@
 (** Audit records: before- and after-images of logical data-base record
-    updates, tagged with the transaction identifier.
-
-    Transids appear here in their rendered string form — the audit layer
-    sits below TMF and needs only equality on them. *)
+    updates, tagged with the transaction identifier. *)
 
 type image = {
   volume : string;  (** Volume holding the updated file partition. *)
@@ -14,7 +11,7 @@ type image = {
 
 type t = {
   sequence : int;  (** Position in its trail; assigned on append. *)
-  transid : string;
+  transid : Tandem_sim.Transid.t;
   image : image;
 }
 
@@ -26,7 +23,7 @@ val commit_marker_image : image
 
 val is_commit_marker : image -> bool
 
-val of_change : volume:string -> transid:string -> Tandem_db.File.change -> image
+val of_change : volume:string -> Tandem_db.File.change -> image
 (** Build an image from a file-layer change record. *)
 
 val undo_change : image -> Tandem_db.File.change

@@ -20,9 +20,9 @@ type audit_file = {
    transaction; [edge_seq] is the dependent (newer) record's sequence, so
    the edge Vec ascends with the trail and crash/purge maintenance is the
    same truncate/drop-front shape as the record files. *)
-type dep_entry = { dep_seq : int; dep_tx : string }
+type dep_entry = { dep_seq : int; dep_tx : Transid.t }
 
-type dep_edge = { edge_seq : int; from_tx : string; to_tx : string }
+type dep_edge = { edge_seq : int; from_tx : Transid.t; to_tx : Transid.t }
 
 type t = {
   volume : Volume.t;
@@ -30,7 +30,7 @@ type t = {
   trail_name : string;
   records_per_file : int;
   mutable files : audit_file list; (* newest first *)
-  tx_index : (string, Audit_record.t Vec.t) Hashtbl.t;
+  tx_index : Audit_record.t Vec.t Transid.Tbl.t;
       (* transid -> its records, ascending — the backout path *)
   dep_last : (string * string * string, dep_entry Vec.t) Hashtbl.t;
       (* (volume, file, key) -> writer history, ascending — the
@@ -56,7 +56,7 @@ let create volume ~name ?(records_per_file = 512) ?(force_window = 0) () =
     trail_name = name;
     records_per_file;
     files = [ fresh_file 0 ];
-    tx_index = Hashtbl.create 64;
+    tx_index = Transid.Tbl.create 64;
     dep_last = Hashtbl.create 256;
     dep_edges = Vec.create ();
     next_seq = 0;
@@ -73,11 +73,11 @@ let current_file t =
   | [] -> assert false
 
 let index_for t transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Transid.Tbl.find_opt t.tx_index transid with
   | Some vec -> vec
   | None ->
       let vec = Vec.create () in
-      Hashtbl.replace t.tx_index transid vec;
+      Transid.Tbl.replace t.tx_index transid vec;
       vec
 
 (* Commit markers are excluded from dependency tracking: every fast-path
@@ -99,7 +99,7 @@ let track_dependency t ~transid ~sequence image =
           history
     in
     (match Vec.last history with
-    | Some previous when not (String.equal previous.dep_tx transid) ->
+    | Some previous when not (Transid.equal previous.dep_tx transid) ->
         Vec.push t.dep_edges
           { edge_seq = sequence; from_tx = previous.dep_tx; to_tx = transid }
     | Some _ | None -> ());
@@ -134,12 +134,12 @@ let forced_up_to t = t.forced_hwm
 let next_sequence t = t.next_seq
 
 let records_for t ~transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Transid.Tbl.find_opt t.tx_index transid with
   | Some vec -> Vec.to_list vec
   | None -> []
 
 let record_count_for t ~transid =
-  match Hashtbl.find_opt t.tx_index transid with
+  match Transid.Tbl.find_opt t.tx_index transid with
   | Some vec -> Vec.length vec
   | None -> 0
 
@@ -185,11 +185,11 @@ let unforced_records t =
    crash path). *)
 let unindex_newest t record =
   let transid = record.Audit_record.transid in
-  match Hashtbl.find_opt t.tx_index transid with
+  match Transid.Tbl.find_opt t.tx_index transid with
   | None -> ()
   | Some vec ->
       ignore (Vec.pop vec);
-      if Vec.is_empty vec then Hashtbl.remove t.tx_index transid
+      if Vec.is_empty vec then Transid.Tbl.remove t.tx_index transid
 
 let crash t =
   (* Drop every record above the forced high-water mark. The unforced tail
@@ -255,24 +255,25 @@ let purge_files_before t ~sequence =
   (* Purged files are strictly the oldest: every record they hold is older
      than every kept record, so per transaction they are a prefix of its
      index entry — count them and drop each entry's front once. *)
-  let purged_per_tx : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let purged_per_tx = Transid.Tbl.create 16 in
   List.iter
     (fun file ->
       Vec.iter
         (fun record ->
           t.bytes <- t.bytes - Audit_record.size_bytes record;
           let transid = record.Audit_record.transid in
-          Hashtbl.replace purged_per_tx transid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt purged_per_tx transid)))
+          let purged = Transid.Tbl.find_opt purged_per_tx transid in
+          Transid.Tbl.replace purged_per_tx transid
+            (1 + Option.value ~default:0 purged))
         file.records)
     purge;
-  Hashtbl.iter
+  Transid.Tbl.iter
     (fun transid count ->
-      match Hashtbl.find_opt t.tx_index transid with
+      match Transid.Tbl.find_opt t.tx_index transid with
       | None -> ()
       | Some vec ->
           Vec.drop_front vec count;
-          if Vec.is_empty vec then Hashtbl.remove t.tx_index transid)
+          if Vec.is_empty vec then Transid.Tbl.remove t.tx_index transid)
     purged_per_tx;
   (* Dependency entries below the oldest surviving record describe purged
      history; drop each stack's (and the edge Vec's) dead prefix. An edge

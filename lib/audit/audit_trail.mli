@@ -28,7 +28,7 @@ val create :
 
 val name : t -> string
 
-val append : t -> transid:string -> Audit_record.image -> int
+val append : t -> transid:Tandem_sim.Transid.t -> Audit_record.image -> int
 (** Buffer one record; returns its sequence number. No physical I/O. *)
 
 val force : t -> unit
@@ -40,12 +40,12 @@ val forced_up_to : t -> int
 
 val next_sequence : t -> int
 
-val records_for : t -> transid:string -> Audit_record.t list
+val records_for : t -> transid:Tandem_sim.Transid.t -> Audit_record.t list
 (** All records of one transaction, ascending — buffered tail included
     (transaction backout runs against the live trail). O(records of this
     transaction), not O(trail). *)
 
-val record_count_for : t -> transid:string -> int
+val record_count_for : t -> transid:Tandem_sim.Transid.t -> int
 (** [List.length (records_for t ~transid)] in O(1) — the observability
     path's undo-image count, read straight from the index. *)
 
@@ -70,7 +70,7 @@ val purge_files_before : t -> sequence:int -> int
 
 val total_bytes : t -> int
 
-val dependency_edges : t -> (string * string) list
+val dependency_edges : t -> (Tandem_sim.Transid.t * Tandem_sim.Transid.t) list
 (** Forced inter-transaction dependency edges [(from, to)], ascending by
     the dependent record's sequence. An edge is logged at [append] time
     whenever a transaction writes a (volume, file, key) last written by a

@@ -1,34 +1,36 @@
+open Tandem_sim
 open Tandem_disk
 
 type disposition = Committed | Aborted
 
-let pp_disposition formatter = function
-  | Committed -> Format.pp_print_string formatter "committed"
-  | Aborted -> Format.pp_print_string formatter "aborted"
-
 type t = {
   volume : Volume.t;
   daemon : Force_daemon.t;
-  table : (string, disposition) Hashtbl.t;
-  mutable history : (string * disposition) list; (* newest first *)
-  staged : (string, unit) Hashtbl.t; (* being forced right now *)
-  unforced : (string, unit) Hashtbl.t; (* recorded but not yet on oxide *)
+  table : disposition Transid.Tbl.t;
+  mutable history : (Transid.t * disposition) list; (* newest first *)
+  staged : unit Transid.Tbl.t; (* being forced right now *)
+  unforced : unit Transid.Tbl.t; (* recorded but not yet on oxide *)
 }
 
 let create ?(force_window = 0) volume =
   {
     volume;
     daemon = Force_daemon.create ~window:force_window volume;
-    table = Hashtbl.create 64;
+    table = Transid.Tbl.create 64;
     history = [];
-    staged = Hashtbl.create 8;
-    unforced = Hashtbl.create 8;
+    staged = Transid.Tbl.create 8;
+    unforced = Transid.Tbl.create 8;
   }
 
+let check_fresh t transid =
+  if Transid.Tbl.mem t.table transid || Transid.Tbl.mem t.staged transid then
+    invalid_arg
+      ("Monitor_trail.record: duplicate disposition for "
+     ^ Transid.to_string transid)
+
 let record t ~transid disposition =
-  if Hashtbl.mem t.table transid || Hashtbl.mem t.staged transid then
-    invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ transid);
-  Hashtbl.replace t.staged transid ();
+  check_fresh t transid;
+  Transid.Tbl.replace t.staged transid ();
   (* The transaction commits at the instant its record is on oxide; the
      group-commit daemon batches concurrent completion records into one
      physical write. A recorder killed mid-force (its processor failed)
@@ -37,35 +39,36 @@ let record t ~transid disposition =
   (match Force_daemon.force t.daemon with
   | () -> ()
   | exception e ->
-      Hashtbl.remove t.staged transid;
+      Transid.Tbl.remove t.staged transid;
       raise e);
-  Hashtbl.remove t.staged transid;
-  Hashtbl.remove t.unforced transid;
-  Hashtbl.replace t.table transid disposition;
+  Transid.Tbl.remove t.staged transid;
+  Transid.Tbl.remove t.unforced transid;
+  Transid.Tbl.replace t.table transid disposition;
   t.history <- (transid, disposition) :: t.history
 
 let record_unforced t ~transid disposition =
-  if Hashtbl.mem t.table transid || Hashtbl.mem t.staged transid then
-    invalid_arg ("Monitor_trail.record: duplicate disposition for " ^ transid);
-  Hashtbl.replace t.unforced transid ();
-  Hashtbl.replace t.table transid disposition;
+  check_fresh t transid;
+  Transid.Tbl.replace t.unforced transid ();
+  Transid.Tbl.replace t.table transid disposition;
   t.history <- (transid, disposition) :: t.history
 
 let crash t =
-  let lost = Hashtbl.fold (fun transid () acc -> transid :: acc) t.unforced [] in
+  let lost =
+    Transid.Tbl.fold (fun transid () acc -> transid :: acc) t.unforced []
+  in
   List.iter
     (fun transid ->
-      Hashtbl.remove t.table transid;
+      Transid.Tbl.remove t.table transid;
       t.history <-
         List.filter (fun (recorded, _) -> recorded <> transid) t.history)
     lost;
-  Hashtbl.reset t.unforced;
+  Transid.Tbl.reset t.unforced;
   List.length lost
 
-let disposition_of t ~transid = Hashtbl.find_opt t.table transid
+let disposition_of t ~transid = Transid.Tbl.find_opt t.table transid
 
 let count t disposition =
-  Hashtbl.fold
+  Transid.Tbl.fold
     (fun _ d acc -> if d = disposition then acc + 1 else acc)
     t.table 0
 

@@ -10,18 +10,16 @@ type t
 
 type disposition = Committed | Aborted
 
-val pp_disposition : Format.formatter -> disposition -> unit
-
 val create : ?force_window:Tandem_sim.Sim_time.span -> Tandem_disk.Volume.t -> t
 (** [force_window] (default 0) is the group-commit accumulation window of
     the trail's force daemon. *)
 
-val record : t -> transid:string -> disposition -> unit
+val record : t -> transid:Tandem_sim.Transid.t -> disposition -> unit
 (** Force-write one completion record (the calling fiber pays the forced
     write). Recording a transaction twice raises [Invalid_argument] — a
     disposition is immutable. *)
 
-val record_unforced : t -> transid:string -> disposition -> unit
+val record_unforced : t -> transid:Tandem_sim.Transid.t -> disposition -> unit
 (** Record a completion status without paying a force: used when the
     disposition's durability is carried by something else (an abort that
     restart re-derives by presumption; a fast-path commit whose marker rode
@@ -34,9 +32,9 @@ val crash : t -> int
     [record_unforced] since the last forced write disappears; forced records
     survive. Returns the number of records lost. *)
 
-val disposition_of : t -> transid:string -> disposition option
+val disposition_of : t -> transid:Tandem_sim.Transid.t -> disposition option
 
 val count : t -> disposition -> int
 
-val entries : t -> (string * disposition) list
+val entries : t -> (Tandem_sim.Transid.t * disposition) list
 (** Completion history, oldest first. *)

@@ -125,7 +125,8 @@ let begin_transaction t =
     Ok tx
   end
 
-let owner tx = Printf.sprintf "b%d" tx.tx_id
+(* A single-site manager: its lock owners are transids of node 0, cpu 0. *)
+let owner tx = Transid.make ~home:0 ~cpu:0 ~seq:tx.tx_id
 
 let tx_valid t tx = t.available && tx.live && tx.epoch = t.epoch
 

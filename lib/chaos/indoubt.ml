@@ -87,7 +87,7 @@ let pin_transfer cluster ~home ~participant ~from_account ~to_account ~amount
         match
           Rpc.call_name (Cluster.net cluster) ~self ~node:participant
             ~name:"$TMP"
-            (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+            (Tmf.Tmp.Prepare transid)
         with
         | Ok Tmf.Tmp.Prepared_reply -> pinned := Some transid
         | Ok _ | Error _ -> ());
@@ -104,8 +104,7 @@ let decide_2pc cluster ~home pinned =
       spawn_and_drive cluster ~node:home ~cpu:1 (fun _self ->
           Tandem_audit.Monitor_trail.record
             (Tmf.node_state (Cluster.tmf cluster) home).Tmf.Tmf_state.monitor
-            ~transid:(Tmf.Transid.to_string transid)
-            Tandem_audit.Monitor_trail.Committed;
+            ~transid Tandem_audit.Monitor_trail.Committed;
           decided := true);
       !decided
 

@@ -12,21 +12,25 @@ type value =
   | Manifest_aborted
 
 type Message.payload +=
-  | Pax_p1a of { transid : string; instance : instance; ballot : int }
+  | Pax_p1a of {
+      transid : Tandem_sim.Transid.t;
+      instance : instance;
+      ballot : int;
+    }
   | Pax_p1b of { promised : int; accepted : (int * value) option }
   | Pax_p2a of {
-      transid : string;
+      transid : Tandem_sim.Transid.t;
       instance : instance;
       ballot : int;
       value : value;
     }
   | Pax_p2b
   | Pax_decide of {
-      transid : string;
+      transid : Tandem_sim.Transid.t;
       home : Ids.node_id;
       participants : Ids.node_id list;
     }
-  | Pax_read of string
+  | Pax_read of Tandem_sim.Transid.t
   | Pax_state of (instance * int * value) list
   | Pax_nack of { promised : int }
 
@@ -36,18 +40,6 @@ let instance_compare a b =
   | Commit_instance, Rm _ -> -1
   | Rm _, Commit_instance -> 1
   | Rm x, Rm y -> compare x y
-
-let pp_instance formatter = function
-  | Commit_instance -> Format.pp_print_string formatter "commit"
-  | Rm node -> Format.fprintf formatter "rm:%d" node
-
-let pp_value formatter = function
-  | Prepared -> Format.pp_print_string formatter "prepared"
-  | Aborted_vote -> Format.pp_print_string formatter "aborted"
-  | Manifest nodes ->
-      Format.fprintf formatter "manifest:[%s]"
-        (String.concat "," (List.map string_of_int nodes))
-  | Manifest_aborted -> Format.pp_print_string formatter "manifest-aborted"
 
 (* One Paxos register. [promised] is the highest ballot granted a phase-one
    promise or accepted a phase-two value; [accepted] is the latest accepted
@@ -61,18 +53,21 @@ type t = {
   net : Net.t;
   node_state : Tmf_state.node_state;
   daemon : Tandem_disk.Force_daemon.t;
-  registers : (string, (instance * entry) list ref) Hashtbl.t;
+  registers : (instance * entry) list ref Transid.Tbl.t;
+  forces : Metrics.counter Lazy.t;
+  nacks : Metrics.counter Lazy.t;
+  promises : Metrics.counter Lazy.t;
+  accepts : Metrics.counter Lazy.t;
+  reads : Metrics.counter Lazy.t;
 }
-
-let counter t name = Metrics.counter (Net.metrics t.net) ("acceptor." ^ name)
 
 let entry_for t transid instance =
   let row =
-    match Hashtbl.find_opt t.registers transid with
+    match Transid.Tbl.find_opt t.registers transid with
     | Some row -> row
     | None ->
         let row = ref [] in
-        Hashtbl.replace t.registers transid row;
+        Transid.Tbl.replace t.registers transid row;
         row
   in
   match List.assoc_opt instance !row with
@@ -100,11 +95,11 @@ let entry_for t transid instance =
 let forced t =
   let generation = t.node_state.Tmf_state.generation in
   Tandem_disk.Force_daemon.force t.daemon;
-  Metrics.incr (counter t "forces");
+  Metrics.incr (Lazy.force t.forces);
   t.node_state.Tmf_state.generation = generation
 
 let nack t process message ~promised =
-  Metrics.incr (counter t "nacks");
+  Metrics.incr (Lazy.force t.nacks);
   Rpc.reply t.net ~self:process ~to_:message (Pax_nack { promised })
 
 let handle t process message =
@@ -120,7 +115,7 @@ let handle t process message =
                  waited on the force. *)
               nack t process message ~promised:entry.promised
             else begin
-              Metrics.incr (counter t "promises");
+              Metrics.incr (Lazy.force t.promises);
               entry.promised <- max entry.promised ballot;
               (* The reply reports the accepted value as of install time —
                  a promise must name everything this register accepted
@@ -139,7 +134,7 @@ let handle t process message =
             if ballot < entry.promised then
               nack t process message ~promised:entry.promised
             else begin
-              Metrics.incr (counter t "accepts");
+              Metrics.incr (Lazy.force t.accepts);
               entry.promised <- max entry.promised ballot;
               entry.accepted <- Some (ballot, value);
               Rpc.reply t.net ~self:process ~to_:message Pax_p2b
@@ -166,7 +161,7 @@ let handle t process message =
           else if forced t then begin
             if superseded () then nack_superseded ()
             else begin
-              Metrics.incr (counter t "accepts");
+              Metrics.incr (Lazy.force t.accepts);
               vote.accepted <- Some (0, Prepared);
               commit.accepted <- Some (0, Manifest participants);
               Rpc.reply t.net ~self:process ~to_:message Pax_p2b
@@ -174,9 +169,9 @@ let handle t process message =
           end)
   | Pax_read transid ->
       (* Reads promise nothing, so they cost no force. *)
-      Metrics.incr (counter t "reads");
+      Metrics.incr (Lazy.force t.reads);
       let state =
-        match Hashtbl.find_opt t.registers transid with
+        match Transid.Tbl.find_opt t.registers transid with
         | None -> []
         | Some row ->
             List.filter_map
@@ -201,12 +196,20 @@ let service t pair process =
   loop ()
 
 let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu () =
+  let counter name =
+    lazy (Metrics.counter (Net.metrics net) ("acceptor." ^ name))
+  in
   let t =
     {
       net;
       node_state = state;
       daemon = Tandem_disk.Force_daemon.create volume;
-      registers = Hashtbl.create 64;
+      registers = Transid.Tbl.create 64;
+      forces = counter "forces";
+      nacks = counter "nacks";
+      promises = counter "promises";
+      accepts = counter "accepts";
+      reads = counter "reads";
     }
   in
   ignore
@@ -218,11 +221,3 @@ let spawn ~net ~state ~volume ~primary_cpu ~backup_cpu () =
        ~service:(fun pair _replica process -> service t pair process)
        ());
   t
-
-let accepted_count t =
-  Hashtbl.fold
-    (fun _ row acc ->
-      acc
-      + List.length
-          (List.filter (fun (_, entry) -> entry.accepted <> None) !row))
-    t.registers 0

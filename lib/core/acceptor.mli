@@ -37,29 +37,29 @@ type value =
   | Manifest_aborted
 
 type Message.payload +=
-  | Pax_p1a of { transid : string; instance : instance; ballot : int }
+  | Pax_p1a of {
+      transid : Tandem_sim.Transid.t;
+      instance : instance;
+      ballot : int;
+    }
   | Pax_p1b of { promised : int; accepted : (int * value) option }
   | Pax_p2a of {
-      transid : string;
+      transid : Tandem_sim.Transid.t;
       instance : instance;
       ballot : int;
       value : value;
     }
   | Pax_p2b
   | Pax_decide of {
-      transid : string;
+      transid : Tandem_sim.Transid.t;
       home : Ids.node_id;
       participants : Ids.node_id list;
     }
-  | Pax_read of string
+  | Pax_read of Tandem_sim.Transid.t
   | Pax_state of (instance * int * value) list
   | Pax_nack of { promised : int }
 
 val instance_compare : instance -> instance -> int
-
-val pp_instance : Format.formatter -> instance -> unit
-
-val pp_value : Format.formatter -> value -> unit
 
 type t
 
@@ -74,5 +74,3 @@ val spawn :
 (** Install the acceptor process-pair on the node, forcing its promises and
     acceptances to [volume] (the node's system volume). *)
 
-val accepted_count : t -> int
-(** Accepted registers across every transid — a cheap stats probe. *)

@@ -3,7 +3,7 @@ open Tandem_os
 open Tandem_audit
 
 type Message.payload +=
-  | Backout_request of string
+  | Backout_request of Transid.t
   | Backout_done of int
   | Backout_failed of string
 
@@ -11,10 +11,9 @@ let perform net state ~self transid =
   let metrics = Net.metrics net in
   let undone = ref 0 in
   let failure = ref None in
-  let transid_string = Transid.to_string transid in
   Hashtbl.iter
     (fun _ trail ->
-      let records = Audit_trail.records_for trail ~transid:transid_string in
+      let records = Audit_trail.records_for trail ~transid in
       List.iter
         (fun record ->
           if !failure = None then begin
@@ -46,10 +45,10 @@ let perform net state ~self transid =
       let images =
         Hashtbl.fold
           (fun _ trail acc ->
-            acc + Audit_trail.record_count_for trail ~transid:transid_string)
+            acc + Audit_trail.record_count_for trail ~transid)
           state.Tmf_state.trails 0
       in
-      Span.add_images_undone (Net.spans net) transid_string images;
+      Span.add_images_undone (Net.spans net) transid images;
       Ok !undone
 
 let service net state pair () process =
@@ -57,22 +56,17 @@ let service net state pair () process =
   let rec loop () =
     let message = Process_pair.receive pair process in
     (match message.Message.payload with
-    | Backout_request transid_string -> (
+    | Backout_request transid ->
         Cpu.consume (Process.cpu process) config.Hw_config.cpu_message_cost;
-        match Transid.of_string transid_string with
-        | None ->
-            Rpc.reply net ~self:process ~to_:message
-              (Backout_failed "malformed transid")
-        | Some transid ->
-            (* Run each backout in its own fiber so long undo streams do not
-               serialize unrelated aborts. *)
-            Process.spawn_fiber process (fun () ->
-                let reply =
-                  match perform net state ~self:process transid with
-                  | Ok n -> Backout_done n
-                  | Error m -> Backout_failed m
-                in
-                Rpc.reply net ~self:process ~to_:message reply))
+        (* Run each backout in its own fiber so long undo streams do not
+           serialize unrelated aborts. *)
+        Process.spawn_fiber process (fun () ->
+            let reply =
+              match perform net state ~self:process transid with
+              | Ok n -> Backout_done n
+              | Error m -> Backout_failed m
+            in
+            Rpc.reply net ~self:process ~to_:message reply)
     | _ -> ());
     loop ()
   in
@@ -91,7 +85,7 @@ let spawn ~net ~state ~primary_cpu ~backup_cpu =
 let request net ~self ~node transid =
   match
     Rpc.call_name net ~self ~node ~name:"$BACKOUT"
-      (Backout_request (Transid.to_string transid))
+      (Backout_request transid)
   with
   | Ok (Backout_done n) -> Ok n
   | Ok (Backout_failed m) -> Error m

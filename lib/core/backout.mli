@@ -18,7 +18,7 @@ val request :
   Tandem_os.Net.t ->
   self:Tandem_os.Process.t ->
   node:Tandem_os.Ids.node_id ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (int, string) result
 (** Ask the node's BACKOUTPROCESS to back the transaction out; returns the
     number of images undone. *)

@@ -13,11 +13,11 @@ type t = {
   node : Tandem_os.Ids.node_id;
   trail : string;  (** Name of the AUDITPROCESS its audit goes to. *)
   flush_audit :
-    self:Tandem_os.Process.t -> Transid.t -> (int, string) result;
+    self:Tandem_os.Process.t -> Tandem_sim.Transid.t -> (int, string) result;
       (** Ship the transaction's buffered audit images to the trail.
           Returns the number of images shipped — zero marks the volume as a
           read-only participant, which feeds the read-only vote. *)
-  release_locks : self:Tandem_os.Process.t -> Transid.t -> unit;
+  release_locks : self:Tandem_os.Process.t -> Tandem_sim.Transid.t -> unit;
       (** Phase two / post-backout unlock. *)
   apply_undo :
     self:Tandem_os.Process.t ->

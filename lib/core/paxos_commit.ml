@@ -19,8 +19,6 @@ let acceptor_nodes net count =
 
 let quorum_of acceptors = (List.length acceptors / 2) + 1
 
-let tmp_counter net name = Metrics.counter (Net.metrics net) ("tmp." ^ name)
-
 (* ------------------------------------------------------------------ *)
 (* Fan-out to the acceptor set. Requests run concurrently (the replies are
    latency-bound: a round trip plus the acceptor's force); a currently
@@ -66,14 +64,13 @@ let fanout net ~self ~acceptors ~transid payload =
    its vote plus the manifest. *)
 
 let cast_vote net ~self ~acceptors transid =
-  Metrics.incr (tmp_counter net "paxos_votes");
+  Metrics.incr (Metrics.counter (Net.metrics net) "tmp.paxos_votes");
   let own = Cpu.node (Process.cpu self) in
-  let transid_string = Transid.to_string transid in
   let replies =
-    fanout net ~self ~acceptors ~transid:transid_string
+    fanout net ~self ~acceptors ~transid
       (Acceptor.Pax_p2a
          {
-           transid = transid_string;
+           transid;
            instance = Acceptor.Rm own;
            ballot = 0;
            value = Acceptor.Prepared;
@@ -87,11 +84,10 @@ let cast_vote net ~self ~acceptors transid =
   else Error "acceptor quorum unavailable for vote"
 
 let cast_decision net ~self ~acceptors ~home ~participants transid =
-  Metrics.incr (tmp_counter net "paxos_decides");
-  let transid_string = Transid.to_string transid in
+  Metrics.incr (Metrics.counter (Net.metrics net) "tmp.paxos_decides");
   let replies =
-    fanout net ~self ~acceptors ~transid:transid_string
-      (Acceptor.Pax_decide { transid = transid_string; home; participants })
+    fanout net ~self ~acceptors ~transid
+      (Acceptor.Pax_decide { transid; home; participants })
   in
   let acks =
     List.length
@@ -132,16 +128,15 @@ let chosen_value ~quorum states instance =
     accepted
 
 let learn net ~self ~acceptors transid =
-  Metrics.incr (tmp_counter net "paxos_learns");
-  let transid_string = Transid.to_string transid in
+  Metrics.incr (Metrics.counter (Net.metrics net) "tmp.paxos_learns");
   let states =
     List.filter_map
       (fun (node, reply) ->
         match reply with
         | Acceptor.Pax_state entries -> Some (node, entries)
         | _ -> None)
-      (fanout net ~self ~acceptors ~transid:transid_string
-         (Acceptor.Pax_read transid_string))
+      (fanout net ~self ~acceptors ~transid
+         (Acceptor.Pax_read transid))
   in
   let quorum = quorum_of acceptors in
   match chosen_value ~quorum states Acceptor.Commit_instance with
@@ -182,15 +177,14 @@ let ballot_stride net =
 let decree net ~self ~acceptors ~transid ~instance ~default =
   let own = Cpu.node (Process.cpu self) in
   let stride = ballot_stride net in
-  let transid_string = Transid.to_string transid in
   let quorum = quorum_of acceptors in
   let rec round n =
     if n > max_rounds then Error `Contended
     else begin
       let ballot = (n * stride) + own in
       let replies =
-        fanout net ~self ~acceptors ~transid:transid_string
-          (Acceptor.Pax_p1a { transid = transid_string; instance; ballot })
+        fanout net ~self ~acceptors ~transid
+          (Acceptor.Pax_p1a { transid; instance; ballot })
       in
       let granted =
         List.filter_map
@@ -219,9 +213,9 @@ let decree net ~self ~acceptors ~transid ~instance ~default =
           List.length
             (List.filter
                (fun (_, reply) -> reply = Acceptor.Pax_p2b)
-               (fanout net ~self ~acceptors ~transid:transid_string
+               (fanout net ~self ~acceptors ~transid
                   (Acceptor.Pax_p2a
-                     { transid = transid_string; instance; ballot; value })))
+                     { transid; instance; ballot; value })))
         in
         if accepts >= quorum then Ok value else round (n + 1)
       end
@@ -230,7 +224,7 @@ let decree net ~self ~acceptors ~transid ~instance ~default =
   round 1
 
 let recover net ~self ~acceptors transid =
-  Metrics.incr (tmp_counter net "paxos_recoveries");
+  Metrics.incr (Metrics.counter (Net.metrics net) "tmp.paxos_recoveries");
   match
     decree net ~self ~acceptors ~transid ~instance:Acceptor.Commit_instance
       ~default:Acceptor.Manifest_aborted

@@ -5,7 +5,7 @@ module Fiber_mutex = Tandem_sim.Fiber_mutex
 module Metrics = Tandem_sim.Metrics
 module Engine = Tandem_sim.Engine
 module Sim_time = Tandem_sim.Sim_time
-module String_set = Set.Make (String)
+module Transid = Tandem_sim.Transid
 
 type target = {
   target_volume : string;
@@ -22,7 +22,7 @@ type target = {
 type archive = {
   volume_restorers : (string * (unit -> unit)) list;
   trail_positions : (string * int) list; (* trail name -> next sequence *)
-  open_transactions : String_set.t;
+  open_transactions : Transid.Set.t;
       (* unresolved at archive time: their pre-archive images are loser
          candidates *)
   loser_images : Audit_record.image list;
@@ -72,11 +72,11 @@ let take_archive t =
         (fun name trail acc -> (name, Audit_trail.next_sequence trail) :: acc)
         t.state.Tmf_state.trails [];
     open_transactions =
-      Hashtbl.fold
+      Transid.Tbl.fold
         (fun tid info acc ->
-          if info.Tmf_state.resolved = None then String_set.add tid acc
+          if info.Tmf_state.resolved = None then Transid.Set.add tid acc
           else acc)
-        t.state.Tmf_state.registry String_set.empty;
+        t.state.Tmf_state.registry Transid.Set.empty;
     loser_images =
       (* Buffered images are the newest writes (they have not even reached
          the trail), so they go first; the unforced trail tails follow,
@@ -106,24 +106,21 @@ let own_node t = Node.id t.state.Tmf_state.node
    commit decision is the marker record forced into the transaction's own
    audit trail. The marker was forced after every data image, so if it
    survived the crash the transaction's whole history did. *)
-let has_commit_marker t transid_string =
+let has_commit_marker t transid =
   Hashtbl.fold
     (fun _ trail found ->
       found
       || List.exists
            (fun record ->
              Audit_record.is_commit_marker record.Audit_record.image)
-           (Audit_trail.records_for trail ~transid:transid_string))
+           (Audit_trail.records_for trail ~transid))
     t.state.Tmf_state.trails false
 
 (* Disposition of a transaction found in the trails: the local monitor
    trail if it knows; otherwise negotiate with the home node (2PC) or the
    acceptor set (Paxos Commit). *)
 let rec disposition_of t ~self transid =
-  match
-    Monitor_trail.disposition_of t.state.Tmf_state.monitor
-      ~transid:(Transid.to_string transid)
-  with
+  match Monitor_trail.disposition_of t.state.Tmf_state.monitor ~transid with
   | Some d -> `Known d
   | None -> (
       match (Net.config t.net).Hw_config.tmp_commit_protocol with
@@ -135,7 +132,7 @@ let rec disposition_of t ~self transid =
              transaction to abort. *)
           if
             Transid.home transid = own_node t
-            && has_commit_marker t (Transid.to_string transid)
+            && has_commit_marker t transid
           then `Known Monitor_trail.Committed
           else begin
             let acceptors = Paxos_commit.acceptor_nodes t.net count in
@@ -147,7 +144,7 @@ let rec disposition_of t ~self transid =
 
 and two_phase_disposition t ~self transid =
       if Transid.home transid = own_node t then
-        if has_commit_marker t (Transid.to_string transid) then
+        if has_commit_marker t transid then
           `Known Monitor_trail.Committed
         else
           (* Homed here, no commit record, no marker: it never committed —
@@ -206,7 +203,7 @@ let archive_trails t archive =
    like any post-crash read. *)
 let pre_archive_open_records trail ~position open_transactions =
   let forced = Audit_trail.forced_up_to trail in
-  String_set.fold
+  Transid.Set.fold
     (fun transid acc ->
       List.fold_left
         (fun acc record ->
@@ -222,16 +219,12 @@ let pre_archive_open_records trail ~position open_transactions =
          Int.compare a.Audit_record.sequence b.Audit_record.sequence)
 
 (* Resolve each transaction once; the verdict table doubles as the memo. *)
-let verdict_for t ~self verdicts transid_string =
-  match Hashtbl.find_opt verdicts transid_string with
+let verdict_for t ~self verdicts transid =
+  match Transid.Tbl.find_opt verdicts transid with
   | Some v -> v
   | None ->
-      let v =
-        match Transid.of_string transid_string with
-        | Some transid -> disposition_of t ~self transid
-        | None -> `Known Monitor_trail.Aborted
-      in
-      Hashtbl.replace verdicts transid_string v;
+      let v = disposition_of t ~self transid in
+      Transid.Tbl.replace verdicts transid v;
       v
 
 let is_loser verdict =
@@ -241,7 +234,7 @@ let is_loser verdict =
 
 let assemble_stats verdicts ~scanned ~applied ~undone =
   let count p =
-    Hashtbl.fold (fun _ v acc -> if p v then acc + 1 else acc) verdicts 0
+    Transid.Tbl.fold (fun _ v acc -> if p v then acc + 1 else acc) verdicts 0
   in
   {
     images_scanned = scanned;
@@ -250,12 +243,10 @@ let assemble_stats verdicts ~scanned ~applied ~undone =
     transactions_redone = count (fun v -> v = `Known Monitor_trail.Committed);
     transactions_discarded = count (fun v -> v = `Known Monitor_trail.Aborted);
     in_doubt =
-      Hashtbl.fold
-        (fun transid_string v acc ->
-          match (v, Transid.of_string transid_string) with
-          | `In_doubt, Some transid -> transid :: acc
-          | _ -> acc)
-        verdicts [];
+      Transid.Tbl.fold
+        (fun transid v acc -> if v = `In_doubt then transid :: acc else acc)
+        verdicts []
+      |> List.sort Transid.compare;
   }
 
 (* The paper's algorithm: one sequential pass in audit order. The ablation
@@ -279,10 +270,7 @@ let recover_sequential t ~self archive =
   in
   (* Step 3: resolve each transaction once (lazily, at first undo-filter
      use). *)
-  let verdicts :
-      (string, [ `Known of Monitor_trail.disposition | `In_doubt ]) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let verdicts = Transid.Tbl.create 64 in
   (* Step 4: repeat history — reapply EVERY post-archive image in order
      (winners and losers alike), so the data base reaches exactly the
      pre-crash state... *)
@@ -361,29 +349,30 @@ let recover_chains t ~self ~workers archive =
   let chains = ref [] in
   List.iter
     (fun (trail, pre_open, redo_records) ->
-      let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
+      let parent = Transid.Tbl.create 64 in
       let rec find transid =
-        match Hashtbl.find_opt parent transid with
+        match Transid.Tbl.find_opt parent transid with
         | None -> transid
         | Some p ->
             let root = find p in
-            if not (String.equal root p) then Hashtbl.replace parent transid root;
+            if not (Transid.equal root p) then
+              Transid.Tbl.replace parent transid root;
             root
       in
       List.iter
         (fun (a, b) ->
           let ra = find a and rb = find b in
-          if not (String.equal ra rb) then Hashtbl.replace parent ra rb)
+          if not (Transid.equal ra rb) then Transid.Tbl.replace parent ra rb)
         (Audit_trail.dependency_edges trail);
-      let chain_of : (string, chain) Hashtbl.t = Hashtbl.create 64 in
+      let chain_of = Transid.Tbl.create 64 in
       let trail_chains = ref [] in
       let chain_for transid =
         let root = find transid in
-        match Hashtbl.find_opt chain_of root with
+        match Transid.Tbl.find_opt chain_of root with
         | Some chain -> chain
         | None ->
             let chain = { redo_rev = []; undo_rev = [] } in
-            Hashtbl.replace chain_of root chain;
+            Transid.Tbl.replace chain_of root chain;
             trail_chains := chain :: !trail_chains;
             chain
       in
@@ -465,20 +454,17 @@ let recover_chains t ~self ~workers archive =
      every distinct transaction's verdict concurrently, so in-doubt
      disposition queries — network RPCs with timeouts — overlap instead of
      serializing the undo pass. *)
-  let verdicts :
-      (string, [ `Known of Monitor_trail.disposition | `In_doubt ]) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let verdicts = Transid.Tbl.create 64 in
   let transids =
-    let seen = Hashtbl.create 64 in
+    let seen = Transid.Tbl.create 64 in
     let out = ref [] in
     List.iter
       (fun (_, pre_open, redo_records) ->
         List.iter
           (fun record ->
             let transid = record.Audit_record.transid in
-            if not (Hashtbl.mem seen transid) then begin
-              Hashtbl.replace seen transid ();
+            if not (Transid.Tbl.mem seen transid) then begin
+              Transid.Tbl.replace seen transid ();
               out := transid :: !out
             end)
           (pre_open @ redo_records))
@@ -486,7 +472,7 @@ let recover_chains t ~self ~workers archive =
     List.rev !out
   in
   Fiber.parallel_iter ~name:"rollforward-verdict" ~workers
-    (fun transid_string -> ignore (verdict_for t ~self verdicts transid_string))
+    (fun transid -> ignore (verdict_for t ~self verdicts transid))
     transids;
   (* Step 5, per chain: back the chain's losers out newest-first. Loser
      keys are disjoint across chains, so cross-chain interleaving cannot

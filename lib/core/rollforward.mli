@@ -43,7 +43,7 @@ type stats = {
   images_undone : int;
   transactions_redone : int;
   transactions_discarded : int;
-  in_doubt : Transid.t list;
+  in_doubt : Tandem_sim.Transid.t list;
       (** Transactions whose home node could not be reached for the
           disposition; their images were not applied. *)
 }

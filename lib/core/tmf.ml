@@ -1,7 +1,7 @@
 open Tandem_os
 open Tandem_audit
 
-module Transid = Transid
+module Transid = Tandem_sim.Transid
 module Tx_state = Tx_state
 module Tx_table = Tx_table
 module Participant = Participant
@@ -105,13 +105,10 @@ let begin_transaction t ~node ~cpu =
   let transid = Transid.make ~home:node ~cpu ~seq in
   ignore (Tmf_state.ensure_tx state transid);
   Tmp.arm_transaction_timer (tmp t node) transid;
-  ignore (Tandem_sim.Span.start (Net.spans t.net) (Transid.to_string transid));
+  ignore (Tandem_sim.Span.start (Net.spans t.net) transid);
   Tx_table.broadcast state.Tmf_state.tx_tables transid Tx_state.Active;
-  Tandem_sim.Metrics.incr
-    (Tandem_sim.Metrics.counter (Net.metrics t.net) "tmf.begins");
-  Tandem_sim.Metrics.incr
-    (Tandem_sim.Metrics.counter_with (Net.metrics t.net) "tmf.begins_by_node"
-       ~labels:[ ("node", string_of_int node) ]);
+  Tandem_sim.Metrics.incr (Lazy.force state.Tmf_state.begins);
+  Tandem_sim.Metrics.incr (Lazy.force state.Tmf_state.begins_here);
   transid
 
 let end_transaction t ~self transid =
@@ -128,8 +125,7 @@ let ensure_known t ~self ~from_node ~to_node transid =
         (* First transmission from anywhere: this node becomes the parent in
            the spanning tree along which commit messages will travel. *)
         Tmf_state.add_child (node_state t from_node) transid to_node;
-        Tandem_sim.Span.incr_remote_nodes (Net.spans t.net)
-          (Transid.to_string transid);
+        Tandem_sim.Span.incr_remote_nodes (Net.spans t.net) transid;
         Ok ()
     | Ok `Known -> Ok ()
     | Error `Unreachable -> Error `Unreachable
@@ -142,8 +138,7 @@ let state_of t ~node ~cpu transid =
   Tx_table.state_on (node_state t node).Tmf_state.tx_tables ~cpu transid
 
 let disposition t ~node transid =
-  Monitor_trail.disposition_of (node_state t node).Tmf_state.monitor
-    ~transid:(Transid.to_string transid)
+  Monitor_trail.disposition_of (node_state t node).Tmf_state.monitor ~transid
 
 let transaction_is_live t ~node transid =
   Tmf_state.find_tx (node_state t node) transid <> None

@@ -1,3 +1,5 @@
+module Transid = Tandem_sim.Transid
+
 type tx_info = {
   transid : Transid.t;
   mutable local_volumes : string list;
@@ -18,14 +20,17 @@ type node_state = {
   trails : (string, Tandem_audit.Audit_trail.t) Hashtbl.t;
   audit_processes : (string, Tandem_audit.Audit_process.t) Hashtbl.t;
   participants : (string, Participant.t) Hashtbl.t;
-  registry : (string, tx_info) Hashtbl.t;
+  registry : tx_info Transid.Tbl.t;
   mutable generation : int;
   seq_counters : int array;
+  begins : Tandem_sim.Metrics.counter Lazy.t;
+  begins_here : Tandem_sim.Metrics.counter Lazy.t;
   tmp_name : string;
   backout_name : string;
 }
 
 let make_node_state ?(force_window = 0) ~node ~monitor_volume () =
+  let metrics = Tandem_os.Node.metrics node in
   {
     node;
     tx_tables = Tx_table.create node;
@@ -33,19 +38,22 @@ let make_node_state ?(force_window = 0) ~node ~monitor_volume () =
     trails = Hashtbl.create 4;
     audit_processes = Hashtbl.create 4;
     participants = Hashtbl.create 8;
-    registry = Hashtbl.create 64;
+    registry = Transid.Tbl.create 64;
     generation = 0;
     seq_counters = Array.make (Tandem_os.Node.cpu_count node) 0;
+    begins = lazy (Tandem_sim.Metrics.counter metrics "tmf.begins");
+    begins_here =
+      lazy
+        (Tandem_sim.Metrics.counter_with metrics "tmf.begins_by_node"
+           ~labels:[ ("node", string_of_int (Tandem_os.Node.id node)) ]);
     tmp_name = "$TMP";
     backout_name = "$BACKOUT";
   }
 
-let find_tx state transid =
-  Hashtbl.find_opt state.registry (Transid.to_string transid)
+let find_tx state transid = Transid.Tbl.find_opt state.registry transid
 
 let ensure_tx state transid =
-  let key = Transid.to_string transid in
-  match Hashtbl.find_opt state.registry key with
+  match find_tx state transid with
   | Some info -> info
   | None ->
       let info =
@@ -62,11 +70,10 @@ let ensure_tx state transid =
           resolution_lock = Tandem_sim.Fiber_mutex.create ();
         }
       in
-      Hashtbl.replace state.registry key info;
+      Transid.Tbl.replace state.registry transid info;
       info
 
-let forget_tx state transid =
-  Hashtbl.remove state.registry (Transid.to_string transid)
+let forget_tx state transid = Transid.Tbl.remove state.registry transid
 
 (* Participant/child registration never creates the entry: a live
    transaction is already registered (at BEGIN on its home node, by

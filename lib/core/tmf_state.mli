@@ -9,7 +9,7 @@
     failures with the pair and are lost only in a total node failure. *)
 
 type tx_info = {
-  transid : Transid.t;
+  transid : Tandem_sim.Transid.t;
   mutable local_volumes : string list;  (** Participating volumes here. *)
   mutable children : Tandem_os.Ids.node_id list;
       (** Nodes this node first transmitted the transid to. *)
@@ -40,7 +40,7 @@ type node_state = {
   trails : (string, Tandem_audit.Audit_trail.t) Hashtbl.t;
   audit_processes : (string, Tandem_audit.Audit_process.t) Hashtbl.t;
   participants : (string, Participant.t) Hashtbl.t;  (** by volume name *)
-  registry : (string, tx_info) Hashtbl.t;  (** by transid string *)
+  registry : tx_info Tandem_sim.Transid.Tbl.t;
   mutable generation : int;
       (** Bumped whenever the registry is destroyed wholesale (total node
           failure). In-flight commit work captures the generation at entry
@@ -49,6 +49,9 @@ type node_state = {
           may describe a post-crash shell, so only a durable record may
           answer COMMITTED. *)
   seq_counters : int array;  (** per-processor BEGIN-TRANSACTION counter *)
+  begins : Tandem_sim.Metrics.counter Lazy.t;  (** [tmf.begins] *)
+  begins_here : Tandem_sim.Metrics.counter Lazy.t;
+      (** [tmf.begins_by_node] for this node *)
   tmp_name : string;
   backout_name : string;
 }
@@ -62,20 +65,21 @@ val make_node_state :
 (** [force_window] (default 0) is the group-commit window of the monitor
     trail's force daemon. *)
 
-val find_tx : node_state -> Transid.t -> tx_info option
+val find_tx : node_state -> Tandem_sim.Transid.t -> tx_info option
 
-val ensure_tx : node_state -> Transid.t -> tx_info
+val ensure_tx : node_state -> Tandem_sim.Transid.t -> tx_info
 (** Look up, creating a fresh info (and counting the transaction as known
     here) if absent. *)
 
-val forget_tx : node_state -> Transid.t -> unit
+val forget_tx : node_state -> Tandem_sim.Transid.t -> unit
 
-val add_local_volume : node_state -> Transid.t -> string -> unit
+val add_local_volume : node_state -> Tandem_sim.Transid.t -> string -> unit
 
-val add_child : node_state -> Transid.t -> Tandem_os.Ids.node_id -> unit
+val add_child :
+  node_state -> Tandem_sim.Transid.t -> Tandem_os.Ids.node_id -> unit
 
-val participants_of : node_state -> Transid.t -> Participant.t list
+val participants_of : node_state -> Tandem_sim.Transid.t -> Participant.t list
 (** Participant records for the transaction's local volumes. *)
 
-val trails_of : node_state -> Transid.t -> string list
+val trails_of : node_state -> Tandem_sim.Transid.t -> string list
 (** Distinct audit-process names covering those volumes. *)

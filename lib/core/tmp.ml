@@ -3,14 +3,14 @@ open Tandem_os
 open Tandem_audit
 
 type Message.payload +=
-  | Client_end of string
-  | Client_abort of { transid : string; reason : string }
-  | Remote_begin of string
-  | Prepare of string
-  | Phase2_commit of string
-  | Phase2_abort of string
-  | Query_disposition of string
-  | Query_status of string
+  | Client_end of Transid.t
+  | Client_abort of { transid : Transid.t; reason : string }
+  | Remote_begin of Transid.t
+  | Prepare of Transid.t
+  | Phase2_commit of Transid.t
+  | Phase2_abort of Transid.t
+  | Query_disposition of Transid.t
+  | Query_status of Transid.t
   | Ack
   | Committed_reply
   | Aborted_reply of string
@@ -40,10 +40,31 @@ let default_config =
     parallel_prepare = true;
   }
 
+(* Metric handles, each resolved on first use. The "tmp." counters count
+   what the coordinator's optimizations *saved*, not transaction
+   dispositions. *)
+type counters = {
+  safe_deliveries : Metrics.counter Lazy.t;
+  aborts : Metrics.counter Lazy.t;
+  commits : Metrics.counter Lazy.t;
+  commits_here : Metrics.counter Lazy.t; (* tmf.commits_by_node, this node *)
+  prepares_sent : Metrics.counter Lazy.t;
+  auto_aborts : Metrics.counter Lazy.t;
+  unilateral_aborts : Metrics.counter Lazy.t;
+  remote_begins : Metrics.counter Lazy.t;
+  presumed_aborts : Metrics.counter Lazy.t;
+  phase2_pruned : Metrics.counter Lazy.t;
+  fast_path_commits : Metrics.counter Lazy.t;
+  paxos_commits : Metrics.counter Lazy.t;
+  read_only_votes : Metrics.counter Lazy.t;
+  indoubt_us : Metrics.histogram Lazy.t;
+}
+
 type t = {
   net : Net.t;
   node_state : Tmf_state.node_state;
   tmp_config : config;
+  counters : counters;
   mutable safe_queue : (Ids.node_id * Message.payload) Queue.t;
       (* FIFO; [retry_loop] swaps in a rebuilt queue after each pass *)
   mutable retry_running : bool;
@@ -52,11 +73,7 @@ type t = {
 
 let state t = t.node_state
 
-let counter t name = Metrics.counter (Net.metrics t.net) ("tmf." ^ name)
-
-(* Protocol-optimization counters live under "tmp." — they count what the
-   coordinator's optimizations *saved*, not transaction dispositions. *)
-let tmp_counter t name = Metrics.counter (Net.metrics t.net) ("tmp." ^ name)
+let bump counter = Metrics.incr (Lazy.force counter)
 
 let hw t = Net.config t.net
 
@@ -89,6 +106,30 @@ let indoubt_bounds =
     60_000_000.;
   |]
 
+let make_counters net node =
+  let metrics = Net.metrics net in
+  let counter name = lazy (Metrics.counter metrics name) in
+  {
+    safe_deliveries = counter "tmf.safe_deliveries";
+    aborts = counter "tmf.aborts";
+    commits = counter "tmf.commits";
+    commits_here =
+      lazy
+        (Metrics.counter_with metrics "tmf.commits_by_node"
+           ~labels:[ ("node", string_of_int node) ]);
+    prepares_sent = counter "tmf.prepares_sent";
+    auto_aborts = counter "tmf.auto_aborts";
+    unilateral_aborts = counter "tmf.unilateral_aborts";
+    remote_begins = counter "tmf.remote_begins";
+    presumed_aborts = counter "tmp.presumed_aborts";
+    phase2_pruned = counter "tmp.phase2_pruned";
+    fast_path_commits = counter "tmp.fast_path_commits";
+    paxos_commits = counter "tmp.paxos_commits";
+    read_only_votes = counter "tmp.read_only_votes";
+    indoubt_us =
+      lazy (Metrics.histogram ~bounds:indoubt_bounds metrics "tmp.indoubt_us");
+  }
+
 let observe_indoubt t info =
   if
     info.Tmf_state.voted_yes
@@ -97,15 +138,13 @@ let observe_indoubt t info =
     match info.Tmf_state.voted_at with
     | None -> ()
     | Some voted_at ->
-        Metrics.observe_histogram
-          (Metrics.histogram ~bounds:indoubt_bounds (Net.metrics t.net)
-             "tmp.indoubt_us")
+        Metrics.observe_histogram (Lazy.force t.counters.indoubt_us)
           (float_of_int
              (Sim_time.diff (Engine.now (Net.engine t.net)) voted_at))
 
 let broadcast t transid tx_state =
   Tx_table.broadcast t.node_state.Tmf_state.tx_tables transid tx_state;
-  Span.add_state_broadcasts (spans t) (Transid.to_string transid)
+  Span.add_state_broadcasts (spans t) transid
     (List.length (Node.up_cpus t.node_state.Tmf_state.node))
 
 (* The home node resolves the span: stamp the outcome once and feed the
@@ -113,7 +152,7 @@ let broadcast t transid tx_state =
    must not re-finish (Span.finish keeps the first verdict anyway). *)
 let finish_span t transid outcome =
   if Transid.home transid = own_node t then
-    match Span.finish (spans t) (Transid.to_string transid) outcome with
+    match Span.finish (spans t) transid outcome with
     | None -> ()
     | Some span -> (
         match Span.duration span with
@@ -195,11 +234,9 @@ let kick_retry t =
   | _ -> ()
 
 let safe_deliver t dst payload =
-  Metrics.incr (counter t "safe_deliveries");
+  bump t.counters.safe_deliveries;
   Queue.add (dst, payload) t.safe_queue;
   kick_retry t
-
-let pending_safe_deliveries t = Queue.length t.safe_queue
 
 (* ------------------------------------------------------------------ *)
 (* Local phase one: participants flush their audit, trails force. *)
@@ -221,7 +258,7 @@ let force_trails t ~self transid trails =
     | trail :: rest -> (
         match Audit_process.force t.net ~self ~node:(own_node t) ~name:trail with
         | Ok () ->
-            Span.incr_forced_writes (spans t) (Transid.to_string transid);
+            Span.incr_forced_writes (spans t) transid;
             force_each rest
         | Error e -> Error (Format.asprintf "force %s: %a" trail Rpc.pp_error e))
   in
@@ -234,13 +271,12 @@ let force_trails t ~self transid trails =
    at END time, and misreading that as read-only would lose its images. The
    per-transid trail index makes this O(trails). *)
 let local_audit_images t transid =
-  let transid_string = Transid.to_string transid in
   List.fold_left
     (fun acc trail_name ->
       match Hashtbl.find_opt t.node_state.Tmf_state.trails trail_name with
       | None -> acc
       | Some trail ->
-          acc + Audit_trail.record_count_for trail ~transid:transid_string)
+          acc + Audit_trail.record_count_for trail ~transid)
     0
     (Tmf_state.trails_of t.node_state transid)
 
@@ -269,19 +305,12 @@ let release_locks t ~self transid =
     (Tmf_state.participants_of t.node_state transid)
 
 let record_disposition ?(forced = true) t disposition transid =
-  let transid_string = Transid.to_string transid in
-  match
-    Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-      ~transid:transid_string
-  with
+  let monitor = t.node_state.Tmf_state.monitor in
+  match Monitor_trail.disposition_of monitor ~transid with
   | Some _ -> ()
   | None ->
-      if forced then
-        Monitor_trail.record t.node_state.Tmf_state.monitor
-          ~transid:transid_string disposition
-      else
-        Monitor_trail.record_unforced t.node_state.Tmf_state.monitor
-          ~transid:transid_string disposition
+      if forced then Monitor_trail.record monitor ~transid disposition
+      else Monitor_trail.record_unforced monitor ~transid disposition
 
 (* ------------------------------------------------------------------ *)
 (* Abort execution (the Aborting -> Aborted path, local side). *)
@@ -290,8 +319,7 @@ let already_resolved t transid =
   (* A retried phase-two delivery can arrive after the transid has left the
      registry; the monitor trail is the durable record of that. *)
   Tmf_state.find_tx t.node_state transid = None
-  && Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-       ~transid:(Transid.to_string transid)
+  && Monitor_trail.disposition_of t.node_state.Tmf_state.monitor ~transid
      <> None
 
 let cancel_auto_abort info =
@@ -302,22 +330,20 @@ let cancel_auto_abort info =
   | None -> ()
 
 let monitor_disposition t transid =
-  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-    ~transid:(Transid.to_string transid)
+  Monitor_trail.disposition_of t.node_state.Tmf_state.monitor ~transid
 
 (* Did a fast-path commit marker reach oxide? The trail's post-crash index
    holds exactly the records that were durable when the node died, so this
    answers "did the decision survive" for a commit whose only durable point
    is the marker. *)
 let commit_marker_survives t transid =
-  let transid_string = Transid.to_string transid in
   Hashtbl.fold
     (fun _ trail found ->
       found
       || List.exists
            (fun record ->
              Audit_record.is_commit_marker record.Audit_record.image)
-           (Audit_trail.records_for trail ~transid:transid_string))
+           (Audit_trail.records_for trail ~transid))
     t.node_state.Tmf_state.trails false
 
 (* One-shot (not safe-delivered) phase-two message: under presumed abort
@@ -346,8 +372,8 @@ let rec local_abort t ~self transid reason =
   | None ->
       Trace.emit (Net.trace t.net) "tmf" "node %d: abort %a (%s)" (own_node t)
         Transid.pp transid reason;
-      Metrics.incr (counter t "aborts");
-      Span.mark_backout (spans t) (Transid.to_string transid);
+      bump t.counters.aborts;
+      Span.mark_backout (spans t) transid;
       broadcast t transid Tx_state.Aborting;
       (* All of the transaction's audit records are written to the trails
          while in aborting state, then backout applies the before-images. *)
@@ -367,7 +393,7 @@ let rec local_abort t ~self transid reason =
       let presumed = (hw t).Hw_config.tmp_presumed_abort in
       if presumed then begin
         record_disposition ~forced:false t Monitor_trail.Aborted transid;
-        Metrics.incr (tmp_counter t "presumed_aborts")
+        bump t.counters.presumed_aborts
       end
       else record_disposition t Monitor_trail.Aborted transid;
       broadcast t transid Tx_state.Aborted;
@@ -377,11 +403,9 @@ let rec local_abort t ~self transid reason =
       cancel_auto_abort info;
       List.iter
         (fun child ->
-          Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
-          if presumed then
-            oneshot_phase2 t ~self child
-              (Phase2_abort (Transid.to_string transid))
-          else safe_deliver t child (Phase2_abort (Transid.to_string transid)))
+          Span.incr_phase2_msgs (spans t) transid;
+          if presumed then oneshot_phase2 t ~self child (Phase2_abort transid)
+          else safe_deliver t child (Phase2_abort transid))
         info.Tmf_state.children;
       finish_span t transid (Span.Aborted reason);
       Tmf_state.forget_tx t.node_state transid
@@ -397,11 +421,9 @@ and local_commit_phase2 t ~self transid =
       local_abort t ~self transid "monitor records an abort"
   | None ->
       record_disposition t Monitor_trail.Committed transid;
-      Metrics.incr (counter t "commits");
-      Metrics.incr
-        (Metrics.counter_with (Net.metrics t.net) "tmf.commits_by_node"
-           ~labels:[ ("node", string_of_int (own_node t)) ]);
-      Span.mark_phase2 (spans t) (Transid.to_string transid);
+      bump t.counters.commits;
+      bump t.counters.commits_here;
+      Span.mark_phase2 (spans t) transid;
       broadcast t transid Tx_state.Ended;
       release_locks t ~self transid;
       observe_indoubt t info;
@@ -409,8 +431,8 @@ and local_commit_phase2 t ~self transid =
       cancel_auto_abort info;
       List.iter
         (fun child ->
-          Span.incr_phase2_msgs (spans t) (Transid.to_string transid);
-          safe_deliver t child (Phase2_commit (Transid.to_string transid)))
+          Span.incr_phase2_msgs (spans t) transid;
+          safe_deliver t child (Phase2_commit transid))
         info.Tmf_state.children;
       finish_span t transid Span.Committed;
       Tmf_state.forget_tx t.node_state transid
@@ -419,14 +441,14 @@ and local_commit_phase2 t ~self transid =
 (* Phase one at this node (and transitively below it). *)
 
 let prepare_one t ~self info child =
-  Metrics.incr (counter t "prepares_sent");
-  Span.incr_prepares (spans t) (Transid.to_string info.Tmf_state.transid);
+  bump t.counters.prepares_sent;
+  Span.incr_prepares (spans t) info.Tmf_state.transid;
   (* Request plus reply. *)
-  Span.add_messages (spans t) (Transid.to_string info.Tmf_state.transid) 2;
+  Span.add_messages (spans t) info.Tmf_state.transid 2;
   match
     Rpc.call_name t.net ~self ~node:child ~name:"$TMP"
       ~timeout:t.tmp_config.prepare_timeout ~retries:1
-      (Prepare (Transid.to_string info.Tmf_state.transid))
+      (Prepare info.Tmf_state.transid)
   with
   | Ok Prepared_reply -> Ok `Prepared
   | Ok Readonly_reply -> Ok `Read_only
@@ -442,7 +464,7 @@ let prune_read_only t info read_only_children =
   match read_only_children with
   | [] -> ()
   | pruned ->
-      Metrics.add (tmp_counter t "phase2_pruned") (List.length pruned);
+      Metrics.add (Lazy.force t.counters.phase2_pruned) (List.length pruned);
       info.Tmf_state.children <-
         List.filter
           (fun child -> not (List.mem child pruned))
@@ -502,7 +524,7 @@ let prepare_children t ~self info =
 (* Local phase one. Returns the number of audit images this node flushed:
    zero marks this node's slice of the transaction as read-only. *)
 let local_phase1 t ~self transid =
-  Span.mark_phase1 (spans t) (Transid.to_string transid);
+  Span.mark_phase1 (spans t) transid;
   broadcast t transid Tx_state.Ending;
   match flush_and_force t ~self transid with
   | Error _ as e -> e
@@ -534,7 +556,6 @@ let fast_path_force t ~self ~generation transid =
         Ok ()
       end
   | trails -> (
-      let transid_string = Transid.to_string transid in
       let marker_trail, rest =
         match List.rev trails with
         | last :: before -> (last, List.rev before)
@@ -547,7 +568,7 @@ let fast_path_force t ~self ~generation transid =
       | Ok () -> (
           match
             Audit_process.append_images t.net ~self ~node:(own_node t)
-              ~name:marker_trail ~transid:transid_string
+              ~name:marker_trail ~transid
               [ Audit_record.commit_marker_image ]
           with
           | Error e ->
@@ -569,7 +590,7 @@ let fast_path_force t ~self ~generation transid =
 
 let run_fast_path_commit t ~self transid =
   let generation = t.node_state.Tmf_state.generation in
-  Span.mark_phase1 (spans t) (Transid.to_string transid);
+  Span.mark_phase1 (spans t) transid;
   broadcast t transid Tx_state.Ending;
   match flush_participants t ~self transid with
   | Error reason ->
@@ -599,7 +620,7 @@ let run_fast_path_commit t ~self transid =
              nothing of the transaction survived, and the client must be
              told to start over. *)
           if commit_marker_survives t transid then begin
-            Metrics.incr (tmp_counter t "fast_path_commits");
+            bump t.counters.fast_path_commits;
             local_commit_phase2 t ~self transid;
             Committed_reply
           end
@@ -608,7 +629,7 @@ let run_fast_path_commit t ~self transid =
             Aborted_reply "node failed during end-transaction"
           end
       | Ok () ->
-          Metrics.incr (tmp_counter t "fast_path_commits");
+          bump t.counters.fast_path_commits;
           local_commit_phase2 t ~self transid;
           Committed_reply
       | Error reason ->
@@ -639,7 +660,7 @@ let run_paxos_decision t ~self ~acceptors info transid =
       ~participants transid
   with
   | Ok () ->
-      Metrics.incr (tmp_counter t "paxos_commits");
+      bump t.counters.paxos_commits;
       record_disposition ~forced:false t Monitor_trail.Committed transid;
       local_commit_phase2 t ~self transid;
       Committed_reply
@@ -734,10 +755,7 @@ let on_prepare t ~self transid =
   | None -> (
       (* Either remote-begin never arrived, or we already resolved and
          forgot. Answer from the monitor trail if the latter. *)
-      match
-        Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-          ~transid:(Transid.to_string transid)
-      with
+      match monitor_disposition t transid with
       | Some Monitor_trail.Committed -> Prepared_reply
       | Some Monitor_trail.Aborted -> Refused_reply "already aborted here"
       | None ->
@@ -785,7 +803,7 @@ let on_prepare t ~self transid =
                      cannot touch this node's data — write no monitor
                      record, and leave the protocol entirely. The parent
                      prunes this node from phase two. *)
-                  Metrics.incr (tmp_counter t "read_only_votes");
+                  bump t.counters.read_only_votes;
                   release_locks t ~self transid;
                   broadcast t transid Tx_state.Ended;
                   cancel_auto_abort info;
@@ -836,10 +854,7 @@ let on_prepare t ~self transid =
    abort — the home either never decided or already presumed-aborted and
    lost the unforced record; either way it can never commit now. *)
 let query_status net ~self ~node transid =
-  match
-    Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Query_status (Transid.to_string transid))
-  with
+  match Rpc.call_name net ~self ~node ~name:"$TMP" (Query_status transid) with
   | Ok (Status_reply { disposition; live }) -> Ok (disposition, live)
   | Ok _ | Error _ -> Error `Unreachable
 
@@ -885,7 +900,7 @@ and resolve_in_doubt t ~self transid =
           with_tx_lock t transid (fun () ->
               local_abort t ~self transid "home node recorded an abort")
       | Ok (None, false) ->
-          Metrics.incr (tmp_counter t "presumed_aborts");
+          bump t.counters.presumed_aborts;
           with_tx_lock t transid (fun () ->
               local_abort t ~self transid "presumed abort: home has no record")
       | Ok (None, true) | Error `Unreachable -> ())
@@ -974,7 +989,7 @@ and arm_transaction_timer t transid =
                                          transid disposition)
                                | Error (`Unreachable | `Contended) -> ())
                        | Some _ | None ->
-                           Metrics.incr (counter t "auto_aborts");
+                           bump t.counters.auto_aborts;
                            Process.spawn_fiber process (fun () ->
                                with_tx_lock t transid (fun () ->
                                    (* Re-check under the resolution lock: a
@@ -1013,177 +1028,141 @@ and arm_transaction_timer t transid =
 
 let handle t process message =
   match message.Message.payload with
-  | Client_end transid_string ->
+  | Client_end transid ->
       Process.spawn_fiber process (fun () ->
           let reply =
-            match Transid.of_string transid_string with
-            | Some transid
-              when Transid.home transid = own_node t
-                   && Tmf_state.find_tx t.node_state transid = None
-                   && monitor_disposition t transid = None ->
-                (* Unknown at its own home with no durable record: every
-                   live transaction is registered here at BEGIN, so the
-                   entry died with the node's memory. Re-creating a shell
-                   and committing it would look read-only (no volumes, no
-                   children) and confirm a transaction whose surviving
-                   participants are later presumed-aborted. *)
-                Aborted_reply "unknown at home: presumed abort"
-            | Some transid when Transid.home transid = own_node t ->
-                with_tx_lock t transid (fun () -> run_commit t ~self:process transid)
-            | Some _ -> Refused_reply "not the home node"
-            | None -> Refused_reply "malformed transid"
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Client_abort { transid = transid_string; reason } ->
-      Process.spawn_fiber process (fun () ->
-          let reply =
-            match Transid.of_string transid_string with
-            | None -> Refused_reply "malformed transid"
-            | Some transid ->
-                with_tx_lock t transid (fun () ->
-                    let disposition =
-                      Monitor_trail.disposition_of
-                        t.node_state.Tmf_state.monitor
-                        ~transid:(Transid.to_string transid)
-                    in
-                    match (disposition, Tmf_state.find_tx t.node_state transid)
-                    with
-                    | Some Monitor_trail.Committed, _ ->
-                        Refused_reply "committed"
-                    | Some Monitor_trail.Aborted, _ -> Aborted_reply reason
-                    | None, None ->
-                        (* Forgotten (or never begun here): presumed abort
-                           already answers, and re-registering the transid
-                           would leak an entry nothing ever resolves. *)
-                        Aborted_reply reason
-                    | None, Some { Tmf_state.resolved = Some d; _ } -> (
-                        match d with
-                        | Monitor_trail.Committed -> Refused_reply "committed"
-                        | Monitor_trail.Aborted -> Aborted_reply reason)
-                    | None, Some ({ Tmf_state.resolved = None; _ } as info) ->
-                        if
-                          info.Tmf_state.voted_yes
-                          && Transid.home transid <> own_node t
-                        then Refused_reply "already voted yes"
-                        else begin
-                          info.Tmf_state.locally_aborted <- true;
-                          Metrics.incr (counter t "unilateral_aborts");
-                          local_abort t ~self:process transid reason;
-                          Aborted_reply reason
-                        end)
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Remote_begin transid_string -> (
-      match Transid.of_string transid_string with
-      | None ->
-          Rpc.reply t.net ~self:process ~to_:message
-            (Refused_reply "malformed transid")
-      | Some transid ->
-          let known = Tmf_state.find_tx t.node_state transid <> None in
-          let reply =
-            if known || Transid.home transid = own_node t then Known_reply
-            else begin
-              ignore (Tmf_state.ensure_tx t.node_state transid);
-              Metrics.incr (counter t "remote_begins");
-              arm_transaction_timer t transid;
-              broadcast t transid Tx_state.Active;
-              Registered_reply
-            end
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Prepare transid_string ->
-      Process.spawn_fiber process (fun () ->
-          let reply =
-            match Transid.of_string transid_string with
-            | Some transid
-              when t.node_state.Tmf_state.generation > 0
-                   && Tmf_state.find_tx t.node_state transid = None
-                   && Monitor_trail.disposition_of
-                        t.node_state.Tmf_state.monitor
-                        ~transid:transid_string
-                      = None ->
-                (* Checked before [with_tx_lock], whose [ensure_tx] would
-                   re-create a shell entry that then looks like a registered
-                   read-only participant. After a total node failure an
-                   unknown transid may be a participant whose registration
-                   (and writes) died with the node's memory — voting
-                   read-only would let the parent commit work this node
-                   already lost. *)
-                Refused_reply "unknown after node failure"
-            | Some transid ->
-                with_tx_lock t transid (fun () ->
-                    on_prepare t ~self:process transid)
-            | None -> Refused_reply "malformed transid"
-          in
-          Rpc.reply t.net ~self:process ~to_:message reply)
-  | Phase2_commit transid_string ->
-      Process.spawn_fiber process (fun () ->
-          (match Transid.of_string transid_string with
-          | Some transid ->
+            if Transid.home transid <> own_node t then
+              Refused_reply "not the home node"
+            else if
+              Tmf_state.find_tx t.node_state transid = None
+              && monitor_disposition t transid = None
+            then
+              (* Unknown at its own home with no durable record: every
+                 live transaction is registered here at BEGIN, so the
+                 entry died with the node's memory. Re-creating a shell
+                 and committing it would look read-only (no volumes, no
+                 children) and confirm a transaction whose surviving
+                 participants are later presumed-aborted. *)
+              Aborted_reply "unknown at home: presumed abort"
+            else
               with_tx_lock t transid (fun () ->
-                  local_commit_phase2 t ~self:process transid)
-          | None -> ());
+                  run_commit t ~self:process transid)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Client_abort { transid; reason } ->
+      Process.spawn_fiber process (fun () ->
+          let reply =
+            with_tx_lock t transid (fun () ->
+                match
+                  ( monitor_disposition t transid,
+                    Tmf_state.find_tx t.node_state transid )
+                with
+                | Some Monitor_trail.Committed, _ -> Refused_reply "committed"
+                | Some Monitor_trail.Aborted, _ -> Aborted_reply reason
+                | None, None ->
+                    (* Forgotten (or never begun here): presumed abort
+                       already answers, and re-registering the transid
+                       would leak an entry nothing ever resolves. *)
+                    Aborted_reply reason
+                | None, Some { Tmf_state.resolved = Some d; _ } -> (
+                    match d with
+                    | Monitor_trail.Committed -> Refused_reply "committed"
+                    | Monitor_trail.Aborted -> Aborted_reply reason)
+                | None, Some ({ Tmf_state.resolved = None; _ } as info) ->
+                    if
+                      info.Tmf_state.voted_yes
+                      && Transid.home transid <> own_node t
+                    then Refused_reply "already voted yes"
+                    else begin
+                      info.Tmf_state.locally_aborted <- true;
+                      bump t.counters.unilateral_aborts;
+                      local_abort t ~self:process transid reason;
+                      Aborted_reply reason
+                    end)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Remote_begin transid ->
+      let known = Tmf_state.find_tx t.node_state transid <> None in
+      let reply =
+        if known || Transid.home transid = own_node t then Known_reply
+        else begin
+          ignore (Tmf_state.ensure_tx t.node_state transid);
+          bump t.counters.remote_begins;
+          arm_transaction_timer t transid;
+          broadcast t transid Tx_state.Active;
+          Registered_reply
+        end
+      in
+      Rpc.reply t.net ~self:process ~to_:message reply
+  | Prepare transid ->
+      Process.spawn_fiber process (fun () ->
+          let reply =
+            if
+              t.node_state.Tmf_state.generation > 0
+              && Tmf_state.find_tx t.node_state transid = None
+              && monitor_disposition t transid = None
+            then
+              (* Checked before [with_tx_lock], whose [ensure_tx] would
+                 re-create a shell entry that then looks like a registered
+                 read-only participant. After a total node failure an
+                 unknown transid may be a participant whose registration
+                 (and writes) died with the node's memory — voting
+                 read-only would let the parent commit work this node
+                 already lost. *)
+              Refused_reply "unknown after node failure"
+            else
+              with_tx_lock t transid (fun () ->
+                  on_prepare t ~self:process transid)
+          in
+          Rpc.reply t.net ~self:process ~to_:message reply)
+  | Phase2_commit transid ->
+      Process.spawn_fiber process (fun () ->
+          with_tx_lock t transid (fun () ->
+              local_commit_phase2 t ~self:process transid);
           match message.Message.kind with
           | Message.Request -> Rpc.reply t.net ~self:process ~to_:message Ack
           | Message.Reply | Message.Oneway -> ())
-  | Phase2_abort transid_string ->
+  | Phase2_abort transid ->
       Process.spawn_fiber process (fun () ->
-          (match Transid.of_string transid_string with
-          | Some transid ->
-              with_tx_lock t transid (fun () ->
-                  local_abort t ~self:process transid "aborted by home node")
-          | None -> ());
+          with_tx_lock t transid (fun () ->
+              local_abort t ~self:process transid "aborted by home node");
           (* A one-shot (presumed abort) delivery expects no Ack. *)
           match message.Message.kind with
           | Message.Request -> Rpc.reply t.net ~self:process ~to_:message Ack
           | Message.Reply | Message.Oneway -> ())
-  | Query_disposition transid_string ->
+  | Query_disposition transid ->
       Process.spawn_fiber process (fun () ->
-          let recorded () =
-            Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-              ~transid:transid_string
-          in
           let disposition =
-            match recorded () with
+            match monitor_disposition t transid with
             | Some d -> Some d
-            | None -> (
-                match Transid.of_string transid_string with
-                | Some transid
-                  when Transid.home transid = own_node t
-                       && Tmf_state.find_tx t.node_state transid <> None ->
-                    (* A recovering participant is asking about a
-                       transaction still live at this home: its prepared
-                       state (locks, volatile undo) died with its node, so
-                       a commit this coordinator might still reach could
-                       never be honored there. Serialize against any
-                       in-flight END (the tx lock), then make the answer
-                       true forever: either a disposition now exists, or
-                       abort before replying so the backout the asker is
-                       about to do stays correct. *)
-                    with_tx_lock t transid (fun () ->
-                        match recorded () with
-                        | Some d -> Some d
-                        | None ->
-                            local_abort t ~self:process transid
-                              "participant lost prepared state";
-                            Some Monitor_trail.Aborted)
-                | Some _ | None -> None)
+            | None
+              when Transid.home transid = own_node t
+                   && Tmf_state.find_tx t.node_state transid <> None ->
+                (* A recovering participant is asking about a transaction
+                   still live at this home: its prepared state (locks,
+                   volatile undo) died with its node, so a commit this
+                   coordinator might still reach could never be honored
+                   there. Serialize against any in-flight END (the tx
+                   lock), then make the answer true forever: either a
+                   disposition now exists, or abort before replying so the
+                   backout the asker is about to do stays correct. *)
+                with_tx_lock t transid (fun () ->
+                    match monitor_disposition t transid with
+                    | Some d -> Some d
+                    | None ->
+                        local_abort t ~self:process transid
+                          "participant lost prepared state";
+                        Some Monitor_trail.Aborted)
+            | None -> None
           in
           Rpc.reply t.net ~self:process ~to_:message
             (Disposition_reply disposition))
-  | Query_status transid_string ->
-      let live =
-        match Transid.of_string transid_string with
-        | Some transid -> Tmf_state.find_tx t.node_state transid <> None
-        | None -> false
-      in
+  | Query_status transid ->
       Rpc.reply t.net ~self:process ~to_:message
         (Status_reply
            {
-             disposition =
-               Monitor_trail.disposition_of t.node_state.Tmf_state.monitor
-                 ~transid:transid_string;
-             live;
+             disposition = monitor_disposition t transid;
+             live = Tmf_state.find_tx t.node_state transid <> None;
            })
   | _ -> ()
 
@@ -1206,6 +1185,7 @@ let spawn ~net ~state ?(config = default_config) ~primary_cpu ~backup_cpu () =
       net;
       node_state = state;
       tmp_config = config;
+      counters = make_counters net (Node.id state.Tmf_state.node);
       safe_queue = Queue.create ();
       retry_running = false;
       primary = None;
@@ -1228,8 +1208,9 @@ let start_watchdog t ~interval =
       Process.spawn_fiber process (fun () ->
           let rec watch () =
             Fiber.sleep (Net.engine t.net) interval;
+            (* Abort in transid order, not the registry's hash order. *)
             let victims =
-              Hashtbl.fold
+              Transid.Tbl.fold
                 (fun _ info acc ->
                   let home = Transid.home info.Tmf_state.transid in
                   if
@@ -1240,10 +1221,11 @@ let start_watchdog t ~interval =
                   then info.Tmf_state.transid :: acc
                   else acc)
                 t.node_state.Tmf_state.registry []
+              |> List.sort Transid.compare
             in
             List.iter
               (fun transid ->
-                Metrics.incr (counter t "unilateral_aborts");
+                bump t.counters.unilateral_aborts;
                 with_tx_lock t transid (fun () ->
                     local_abort t ~self:process transid
                       "loss of communication with home node"))
@@ -1262,7 +1244,7 @@ let end_transaction net ~self ~home transid =
        disposition rather than resend. *)
     Rpc.call_name net ~self ~node:home ~name:"$TMP"
       ~timeout:(Sim_time.seconds 15) ~retries:0
-      (Client_end (Transid.to_string transid))
+      (Client_end transid)
   with
   | Ok Committed_reply -> Ok ()
   | Ok (Aborted_reply reason) -> Error (`Aborted reason)
@@ -1272,7 +1254,7 @@ let end_transaction net ~self ~home transid =
 let abort_transaction net ~self ~node ~reason transid =
   match
     Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Client_abort { transid = Transid.to_string transid; reason })
+      (Client_abort { transid; reason })
   with
   | Ok (Aborted_reply _) -> Ok ()
   | Ok (Refused_reply _) -> Error `Too_late
@@ -1281,7 +1263,7 @@ let abort_transaction net ~self ~node ~reason transid =
 let remote_begin net ~self ~to_node transid =
   match
     Rpc.call_name net ~self ~node:to_node ~name:"$TMP"
-      (Remote_begin (Transid.to_string transid))
+      (Remote_begin transid)
   with
   | Ok Registered_reply -> Ok `Registered
   | Ok Known_reply -> Ok `Known
@@ -1290,7 +1272,7 @@ let remote_begin net ~self ~to_node transid =
 let query_disposition net ~self ~node transid =
   match
     Rpc.call_name net ~self ~node ~name:"$TMP"
-      (Query_disposition (Transid.to_string transid))
+      (Query_disposition transid)
   with
   | Ok (Disposition_reply d) -> Ok d
   | Ok _ | Error _ -> Error `Unreachable
@@ -1306,7 +1288,7 @@ let force_disposition t ~self transid disposition =
    what `tandem indoubt` lists and the chaos checks probe. Sorted by transid
    for deterministic output. *)
 let in_doubt_transactions t =
-  Hashtbl.fold
+  Transid.Tbl.fold
     (fun _ info acc ->
       if
         info.Tmf_state.voted_yes
@@ -1316,6 +1298,4 @@ let in_doubt_transactions t =
       else acc)
     t.node_state.Tmf_state.registry []
   |> List.sort (fun a b ->
-         String.compare
-           (Transid.to_string a.Tmf_state.transid)
-           (Transid.to_string b.Tmf_state.transid))
+         Transid.compare a.Tmf_state.transid b.Tmf_state.transid)

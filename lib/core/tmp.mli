@@ -22,14 +22,14 @@ type t
 
 (** The TMP-to-TMP wire protocol (exposed for tests and benchmarks). *)
 type Tandem_os.Message.payload +=
-  | Client_end of string
-  | Client_abort of { transid : string; reason : string }
-  | Remote_begin of string
-  | Prepare of string
-  | Phase2_commit of string
-  | Phase2_abort of string
-  | Query_disposition of string
-  | Query_status of string
+  | Client_end of Tandem_sim.Transid.t
+  | Client_abort of { transid : Tandem_sim.Transid.t; reason : string }
+  | Remote_begin of Tandem_sim.Transid.t
+  | Prepare of Tandem_sim.Transid.t
+  | Phase2_commit of Tandem_sim.Transid.t
+  | Phase2_abort of Tandem_sim.Transid.t
+  | Query_disposition of Tandem_sim.Transid.t
+  | Query_status of Tandem_sim.Transid.t
   | Ack
   | Committed_reply
   | Aborted_reply of string
@@ -82,9 +82,7 @@ val safe_deliver : t -> Tandem_os.Ids.node_id -> Tandem_os.Message.payload -> un
     destination node and kick the retransmission fiber. Exposed for tests
     and benchmarks; the TMP itself queues phase-two messages here. *)
 
-val pending_safe_deliveries : t -> int
-
-val arm_transaction_timer : t -> Transid.t -> unit
+val arm_transaction_timer : t -> Tandem_sim.Transid.t -> unit
 (** Start the transaction-time-limit clock for a transid known at this
     node. Armed automatically for remote begins; the facade arms it at
     BEGIN-TRANSACTION. *)
@@ -101,7 +99,7 @@ val end_transaction :
   Tandem_os.Net.t ->
   self:Tandem_os.Process.t ->
   home:Tandem_os.Ids.node_id ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (unit, [ `Aborted of string | `Unknown_outcome ]) result
 (** Execute END-TRANSACTION at the home TMP. [`Unknown_outcome] means the
     request itself failed (for example the home node is unreachable) — the
@@ -112,7 +110,7 @@ val abort_transaction :
   self:Tandem_os.Process.t ->
   node:Tandem_os.Ids.node_id ->
   reason:string ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (unit, [ `Too_late | `Unreachable ]) result
 (** Unilateral/client abort at the given node's TMP. [`Too_late] if the node
     has already voted yes (a non-home participant) or committed. *)
@@ -121,7 +119,7 @@ val remote_begin :
   Tandem_os.Net.t ->
   self:Tandem_os.Process.t ->
   to_node:Tandem_os.Ids.node_id ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   ([ `Registered | `Known ], [ `Unreachable ]) result
 (** Critical-response "remote transaction begin": make the destination node
     broadcast the transid in active state, before any work is sent there. *)
@@ -130,7 +128,7 @@ val query_disposition :
   Tandem_os.Net.t ->
   self:Tandem_os.Process.t ->
   node:Tandem_os.Ids.node_id ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   (Tandem_audit.Monitor_trail.disposition option, [ `Unreachable ]) result
 (** Consult a node's Monitor Audit Trail (the first step of the manual
     override procedure, and ROLLFORWARD's negotiation). *)
@@ -139,7 +137,7 @@ val query_status :
   Tandem_os.Net.t ->
   self:Tandem_os.Process.t ->
   node:Tandem_os.Ids.node_id ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   ( Tandem_audit.Monitor_trail.disposition option * bool,
     [ `Unreachable ] )
   result
@@ -152,7 +150,7 @@ val query_status :
 val force_disposition :
   t ->
   self:Tandem_os.Process.t ->
-  Transid.t ->
+  Tandem_sim.Transid.t ->
   Tandem_audit.Monitor_trail.disposition ->
   unit
 (** Operator override on a node holding locks for an in-doubt transaction:
@@ -163,7 +161,8 @@ val in_doubt_transactions : t -> Tmf_state.tx_info list
     node (locks held), sorted by transid. What `tandem indoubt` lists and
     the chaos checker probes. *)
 
-val resolve_in_doubt : t -> self:Tandem_os.Process.t -> Transid.t -> unit
+val resolve_in_doubt :
+  t -> self:Tandem_os.Process.t -> Tandem_sim.Transid.t -> unit
 (** One resolution attempt for an in-doubt participant transaction, by
     whichever protocol the cluster runs: under 2PC/presumed-abort a home
     status probe, under Paxos Commit a learner read falling back to a

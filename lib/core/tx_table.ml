@@ -3,33 +3,36 @@ open Tandem_os
 
 type t = {
   node : Node.t;
-  tables : (string, Tx_state.t) Hashtbl.t array; (* per cpu *)
+  tables : Tx_state.t Transid.Tbl.t array; (* per cpu *)
   mutable messages : int;
   census : (Tx_state.t option * Tx_state.t, int) Hashtbl.t;
+  broadcast_msgs : Metrics.counter Lazy.t;
 }
 
 let create node =
   let t =
     {
       node;
-      tables = Array.init (Node.cpu_count node) (fun _ -> Hashtbl.create 64);
+      tables =
+        Array.init (Node.cpu_count node) (fun _ -> Transid.Tbl.create 64);
       messages = 0;
       census = Hashtbl.create 16;
+      broadcast_msgs =
+        lazy (Metrics.counter (Node.metrics node) "tmf.state_broadcast_msgs");
     }
   in
   (* A reloaded processor comes back with fresh memory: its copy of the
      table is empty until new broadcasts arrive (stale states would make
      later broadcasts look like illegal transitions). *)
-  Node.on_cpu_up node (fun cpu -> Hashtbl.reset t.tables.(cpu));
+  Node.on_cpu_up node (fun cpu -> Transid.Tbl.reset t.tables.(cpu));
   t
 
 let reset t =
-  Array.iter Hashtbl.reset t.tables
+  Array.iter Transid.Tbl.reset t.tables
 
 let apply t ~cpu transid new_state =
   let table = t.tables.(cpu) in
-  let key = Transid.to_string transid in
-  let current = Hashtbl.find_opt table key in
+  let current = Transid.Tbl.find_opt table transid in
   (match (current, new_state) with
   | None, Tx_state.Active -> ()
   | None, _ ->
@@ -46,23 +49,21 @@ let apply t ~cpu transid new_state =
           (Printf.sprintf "Tx_table: illegal transition %s -> %s for %s"
              (Tx_state.to_string from)
              (Tx_state.to_string new_state)
-             key));
+             (Transid.to_string transid)));
   if cpu = 0 then begin
     let arc = (current, new_state) in
     Hashtbl.replace t.census arc
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.census arc))
   end;
-  if Tx_state.is_terminal new_state then Hashtbl.remove table key
-  else Hashtbl.replace table key new_state
+  if Tx_state.is_terminal new_state then Transid.Tbl.remove table transid
+  else Transid.Tbl.replace table transid new_state
 
 let broadcast t transid new_state =
   let engine = Node.engine t.node in
   let config = Node.config t.node in
-  let metrics = Node.metrics t.node in
   let up = Node.up_cpus t.node in
   t.messages <- t.messages + List.length up;
-  Metrics.add (Metrics.counter metrics "tmf.state_broadcast_msgs")
-    (List.length up);
+  Metrics.add (Lazy.force t.broadcast_msgs) (List.length up);
   List.iter
     (fun cpu ->
       Engine.post_after engine config.Hw_config.bus_latency (fun () ->
@@ -71,13 +72,10 @@ let broadcast t transid new_state =
     up
 
 let state_on t ~cpu transid =
-  Hashtbl.find_opt t.tables.(cpu) (Transid.to_string transid)
+  Transid.Tbl.find_opt t.tables.(cpu) transid
 
 let live_transactions t ~cpu =
-  Hashtbl.fold
-    (fun key _ acc ->
-      match Transid.of_string key with Some id -> id :: acc | None -> acc)
-    t.tables.(cpu) []
+  Transid.Tbl.fold (fun transid _ acc -> transid :: acc) t.tables.(cpu) []
   |> List.sort Transid.compare
 
 let broadcasts_sent t = t.messages

@@ -14,7 +14,7 @@ type t
 
 val create : Tandem_os.Node.t -> t
 
-val broadcast : t -> Transid.t -> Tx_state.t -> unit
+val broadcast : t -> Tandem_sim.Transid.t -> Tx_state.t -> unit
 (** Send the state change to every up processor (one bus message each,
     arriving after the bus latency; same-processor copy immediate). Illegal
     transitions raise [Invalid_argument] at apply time. *)
@@ -26,11 +26,12 @@ val reset : t -> unit
     that no longer exist. *)
 
 val state_on :
-  t -> cpu:Tandem_os.Ids.cpu_id -> Transid.t -> Tx_state.t option
+  t -> cpu:Tandem_os.Ids.cpu_id -> Tandem_sim.Transid.t -> Tx_state.t option
 (** The state as processor [cpu] currently sees it ([None] before the
     Active broadcast arrives or after the transid left the system). *)
 
-val live_transactions : t -> cpu:Tandem_os.Ids.cpu_id -> Transid.t list
+val live_transactions :
+  t -> cpu:Tandem_os.Ids.cpu_id -> Tandem_sim.Transid.t list
 
 val broadcasts_sent : t -> int
 (** Total per-processor messages consumed by broadcasts (E8's measure). *)

@@ -111,16 +111,15 @@ let load_file t ~file records =
   match Schema.find t.dict file with
   | None -> invalid_arg ("Cluster.load_file: undefined file " ^ file)
   | Some def ->
+      (* Keyed by partition, not by the mutable store: a store's structural
+         hash changes with every insert. *)
       let touched = Hashtbl.create 4 in
       List.iter
         (fun (key, payload) ->
-          let partition = Schema.partition_for def key in
-          let dp =
-            discprocess t ~node:partition.Schema.node
-              ~volume:partition.Schema.volume
-          in
+          let { Schema.node; volume; _ } = Schema.partition_for def key in
+          let dp = discprocess t ~node ~volume in
           let store = Discprocess.store dp in
-          Hashtbl.replace touched store ();
+          Hashtbl.replace touched (node, volume) store;
           Store.set_charging store false;
           (match Discprocess.file dp file with
           | None -> invalid_arg "Cluster.load_file: partition missing"
@@ -132,7 +131,7 @@ let load_file t ~file records =
               | Error `Bad_key -> invalid_arg "Cluster.load_file: bad key")))
         records;
       Hashtbl.iter
-        (fun store () ->
+        (fun _ store ->
           Store.overwrite_disk_image store;
           Store.set_charging store true)
         touched
@@ -211,7 +210,7 @@ let total_node_failure t ~node =
      commits whose marker carries the decision) die with the node's memory;
      forced monitor records survive. *)
   ignore (Tandem_audit.Monitor_trail.crash state.Tmf.Tmf_state.monitor);
-  Hashtbl.reset state.Tmf.Tmf_state.registry;
+  Tmf.Transid.Tbl.reset state.Tmf.Tmf_state.registry;
   Tmf.Tx_table.reset state.Tmf.Tmf_state.tx_tables;
   state.Tmf.Tmf_state.generation <- state.Tmf.Tmf_state.generation + 1;
   Metrics.incr (Metrics.counter (Net.metrics t.net) "hw.total_node_failures")
@@ -219,8 +218,21 @@ let total_node_failure t ~node =
 let rollforward_node t ~node archive =
   let result = ref None in
   run_client t ~node ~cpu:0 (fun process ->
+      (* The node's volumes stay closed to new transactions until the
+         rebuild finishes: one served from a half-restored volume would
+         commit over state the recovery then rewrites. *)
+      let rec offline = function
+        | [] ->
+            Tmf.Rollforward.recover (Tmf.rollforward t.tmf node) ~self:process
+              archive
+        | dp :: rest -> Discprocess.offline dp (fun () -> offline rest)
+      in
       result :=
-        Some (Tmf.Rollforward.recover (Tmf.rollforward t.tmf node) ~self:process archive));
+        Some
+          (offline
+             (List.filter
+                (fun dp -> Discprocess.node_id dp = node)
+                (all_discprocesses t))));
   (* Pump the engine in bounded slices: other machinery (safe-delivery
      retries against a partitioned node, watchdogs) may keep the event queue
      non-empty forever. *)

@@ -142,4 +142,5 @@ val total_node_failure : t -> node:Tandem_os.Ids.node_id -> unit
 val rollforward_node :
   t -> node:Tandem_os.Ids.node_id -> Tmf.Rollforward.archive -> Tmf.Rollforward.stats
 (** Run ROLLFORWARD on the node from the archive; drives the engine until
-    the recovery fiber finishes. *)
+    the recovery fiber finishes. Data requests to the node's volumes queue
+    until then. *)

@@ -12,7 +12,7 @@ type t = {
   dp_store : Store.t;
   files : (string, File.t) Hashtbl.t;
   locks : Tandem_lock.Lock_table.t;
-  audit_buffers : (string, Tandem_audit.Audit_record.image list) Hashtbl.t;
+  audit_buffers : Tandem_audit.Audit_record.image list Tmf.Transid.Tbl.t;
   mutable generation : int;
       (* bumped by total failure: a write that completes across a bump was
          issued by a transaction that died with the node's memory *)
@@ -29,6 +29,8 @@ type t = {
          at a time, as in the real single-threaded DISCPROCESS. Lock-manager
          waits happen before taking it. *)
   mutable pair : (unit, unit) Process_pair.t option;
+  coalesced : Tandem_sim.Metrics.counter Lazy.t;
+  batch_sizes : Tandem_sim.Metrics.sample Lazy.t;
 }
 
 let name t = t.dp_name
@@ -50,7 +52,9 @@ let add_file t def =
   file
 
 let audit_buffer_depth t =
-  Hashtbl.fold (fun _ images acc -> acc + List.length images) t.audit_buffers 0
+  Tmf.Transid.Tbl.fold
+    (fun _ images acc -> acc + List.length images)
+    t.audit_buffers 0
 
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
@@ -61,15 +65,10 @@ let checkpoint_cost t =
 let transaction_of t ~cpu (op : op_meta) =
   match op.transid with
   | None -> Ok None
-  | Some transid_string -> (
-      match Tmf.Transid.of_string transid_string with
-      | None -> Error (Bad_request "malformed transid")
-      | Some transid -> (
-          match
-            Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid
-          with
-          | Some Tmf.Tx_state.Active -> Ok (Some transid)
-          | Some _ | None -> Error Tx_rejected))
+  | Some transid -> (
+      match Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid with
+      | Some Tmf.Tx_state.Active -> Ok (Some transid)
+      | Some _ | None -> Error Tx_rejected)
 
 (* A holder that is no longer registered with TMF is a ghost: its phase-two
    release was lost (for example, in flight to a primary that died). The
@@ -77,31 +76,27 @@ let transaction_of t ~cpu (op : op_meta) =
    DISCPROCESS can recognize such transactions; reap and retry once. *)
 let reap_if_stale t resource =
   match Tandem_lock.Lock_table.holder t.locks resource with
-  | Some owner -> (
-      match Tmf.Transid.of_string owner with
-      | Some transid
-        when not (Tmf.transaction_is_live t.tmf ~node:(node_id t) transid) ->
-          Tandem_lock.Lock_table.release_all t.locks ~owner;
-          Tandem_sim.Metrics.incr
-            (Tandem_sim.Metrics.counter (Net.metrics t.net) "lock.stale_reaped");
-          true
-      | Some _ | None -> false)
-  | None -> false
+  | Some owner
+    when not (Tmf.transaction_is_live t.tmf ~node:(node_id t) owner) ->
+      Tandem_lock.Lock_table.release_all t.locks ~owner;
+      Tandem_sim.Metrics.incr
+        (Tandem_sim.Metrics.counter (Net.metrics t.net) "lock.stale_reaped");
+      true
+  | Some _ | None -> false
 
 let acquire_record t transaction ~cpu ~timeout ~file_name ~key =
   match transaction with
   | None -> Ok ()
-  | Some transid -> (
+  | Some owner -> (
       let resource =
         Tandem_lock.Lock_table.Record_lock { file = file_name; key }
       in
-      let owner = Tmf.Transid.to_string transid in
       (* A grant can arrive after a queue wait, during which the transaction
          may have been aborted — its phase two already released every lock
          it held, so accepting a late grant would strand this one. Re-check
          the per-processor state table after every grant. *)
       let granted () =
-        match Tmf.state_of t.tmf ~node:(node_id t) ~cpu transid with
+        match Tmf.state_of t.tmf ~node:(node_id t) ~cpu owner with
         | Some Tmf.Tx_state.Active -> Ok ()
         | Some _ | None ->
             Tandem_lock.Lock_table.release_all t.locks ~owner;
@@ -130,16 +125,14 @@ let buffer_audit t transaction ~pending (file : File.t) change =
   | None -> ()
   | Some transid ->
       if (File.def file).Schema.audited then begin
-        let transid_string = Tmf.Transid.to_string transid in
         let image =
-          Tandem_audit.Audit_record.of_change ~volume:t.dp_name
-            ~transid:transid_string change
+          Tandem_audit.Audit_record.of_change ~volume:t.dp_name change
         in
         let existing =
           Option.value ~default:[]
-            (Hashtbl.find_opt t.audit_buffers transid_string)
+            (Tmf.Transid.Tbl.find_opt t.audit_buffers transid)
         in
-        Hashtbl.replace t.audit_buffers transid_string (image :: existing);
+        Tmf.Transid.Tbl.replace t.audit_buffers transid (image :: existing);
         if (Net.config t.net).Hw_config.dp_checkpoint_coalescing then
           incr pending
         else checkpoint_cost t
@@ -293,8 +286,7 @@ let execute_op t process ~requester ~pending (op : op_meta) payload =
           | None -> Dp_error (Bad_request "file lock outside transaction")
           | Some transid -> (
               match
-                Tandem_lock.Lock_table.acquire t.locks
-                  ~owner:(Tmf.Transid.to_string transid)
+                Tandem_lock.Lock_table.acquire t.locks ~owner:transid
                   ~timeout:op.lock_timeout
                   (Tandem_lock.Lock_table.File_lock file_name)
               with
@@ -309,11 +301,8 @@ let execute t process ~requester (op : op_meta) payload =
   let pending = ref 0 in
   let reply = execute_op t process ~requester ~pending op payload in
   if !pending > 0 then begin
-    let metrics = Net.metrics t.net in
-    Tandem_sim.Metrics.incr
-      (Tandem_sim.Metrics.counter metrics "dp.coalesced_checkpoints");
-    Tandem_sim.Metrics.observe
-      (Tandem_sim.Metrics.sample metrics "dp.checkpoint_batch_size")
+    Tandem_sim.Metrics.incr (Lazy.force t.coalesced);
+    Tandem_sim.Metrics.observe (Lazy.force t.batch_sizes)
       (float_of_int !pending);
     checkpoint_cost t
   end;
@@ -322,24 +311,24 @@ let execute t process ~requester (op : op_meta) payload =
 (* ------------------------------------------------------------------ *)
 (* TMF-side requests (flush, release, undo) *)
 
-let flush_audit t process transid_string =
-  match Hashtbl.find_opt t.audit_buffers transid_string with
+let flush_audit t process transid =
+  match Tmf.Transid.Tbl.find_opt t.audit_buffers transid with
   | None | Some [] -> Dp_flushed 0
   | Some images_newest_first -> (
       match
         Tandem_audit.Audit_process.append_images t.net ~self:process
-          ~node:(node_id t) ~name:t.trail_name ~transid:transid_string
+          ~node:(node_id t) ~name:t.trail_name ~transid
           (List.rev images_newest_first)
       with
       | Ok () ->
-          Hashtbl.remove t.audit_buffers transid_string;
+          Tmf.Transid.Tbl.remove t.audit_buffers transid;
           Dp_flushed (List.length images_newest_first)
       | Error e ->
           Dp_error (Bad_request (Format.asprintf "audit flush: %a" Rpc.pp_error e)))
 
-let release t transid_string =
-  Tandem_lock.Lock_table.release_all t.locks ~owner:transid_string;
-  Hashtbl.remove t.audit_buffers transid_string;
+let release t transid =
+  Tandem_lock.Lock_table.release_all t.locks ~owner:transid;
+  Tmf.Transid.Tbl.remove t.audit_buffers transid;
   Dp_ok
 
 let undo t image =
@@ -388,10 +377,10 @@ let handle t process message =
               in
               Hashtbl.replace t.reply_cache op.op_id reply;
               respond reply)
-  | Dp_flush_audit transid_string ->
+  | Dp_flush_audit transid ->
       Process.spawn_fiber process (fun () ->
-          respond (flush_audit t process transid_string))
-  | Dp_release transid_string -> respond (release t transid_string)
+          respond (flush_audit t process transid))
+  | Dp_release transid -> respond (release t transid)
   | Dp_undo image ->
       Process.spawn_fiber process (fun () -> respond (undo t image))
   | _ -> ()
@@ -422,12 +411,20 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
       locks =
         Tandem_lock.Lock_table.create ~spans:(Net.spans net) (Net.engine net)
           ~metrics:(Net.metrics net) ~name;
-      audit_buffers = Hashtbl.create 32;
+      audit_buffers = Tmf.Transid.Tbl.create 32;
       generation = 0;
       reply_cache = Hashtbl.create 1024;
       reply_cache_old = Hashtbl.create 1024;
       data_mutex = Tandem_sim.Fiber_mutex.create ();
       pair = None;
+      coalesced =
+        lazy
+          (Tandem_sim.Metrics.counter (Net.metrics net)
+             "dp.coalesced_checkpoints");
+      batch_sizes =
+        lazy
+          (Tandem_sim.Metrics.sample (Net.metrics net)
+             "dp.checkpoint_batch_size");
     }
   in
   let pair =
@@ -448,7 +445,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
         (fun ~self transid ->
           match
             Rpc.call_name net ~self ~node:(Node.id node) ~name
-              (Dp_flush_audit (Tmf.Transid.to_string transid))
+              (Dp_flush_audit transid)
           with
           | Ok (Dp_flushed images) -> Ok images
           | Ok Dp_ok -> Ok 0
@@ -461,7 +458,7 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
              name-addressed retry rides out pair takeovers. *)
           ignore
             (Rpc.call_name net ~self ~node:(Node.id node) ~name
-               (Dp_release (Tmf.Transid.to_string transid))));
+               (Dp_release transid)));
       apply_undo =
         (fun ~self image ->
           match
@@ -491,8 +488,13 @@ let rollforward_target t =
           List.iter (fun restore -> restore ()) metadata);
     unflushed_images =
       (fun () ->
-        (* Each per-transaction buffer is newest first already. *)
-        Hashtbl.fold (fun _ images acc -> images @ acc) t.audit_buffers []);
+        (* Each per-transaction buffer is newest first already; the
+           buffers go in transid order, not the table's hash order. *)
+        Tmf.Transid.Tbl.fold
+          (fun transid images acc -> (transid, images) :: acc)
+          t.audit_buffers []
+        |> List.sort (fun (a, _) (b, _) -> Tmf.Transid.compare a b)
+        |> List.concat_map snd);
     redo =
       (fun image ->
         match file t image.Tandem_audit.Audit_record.file with
@@ -514,10 +516,12 @@ let rollforward_target t =
         | None -> ());
   }
 
+let offline t f = Tandem_sim.Fiber_mutex.with_lock t.data_mutex f
+
 let simulate_total_failure t =
   t.generation <- t.generation + 1;
   Store.crash t.dp_store;
-  Hashtbl.reset t.audit_buffers;
+  Tmf.Transid.Tbl.reset t.audit_buffers;
   Hashtbl.reset t.reply_cache;
   Hashtbl.reset t.reply_cache_old;
   Tandem_lock.Lock_table.reset t.locks

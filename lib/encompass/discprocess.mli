@@ -51,6 +51,11 @@ val audit_buffer_depth : t -> int
 val rollforward_target : t -> Tmf.Rollforward.target
 (** Snapshot/restore/redo hooks over this volume's store for ROLLFORWARD. *)
 
+val offline : t -> (unit -> 'a) -> 'a
+(** Run the function with the volume closed to data requests: they queue
+    until it returns. ROLLFORWARD rebuilds a volume this way, so new
+    transactions never see it half restored. *)
+
 val simulate_total_failure : t -> unit
 (** Drop the volume's volatile state (cache, current images, buffered
     audit, locks) down to what was physically flushed — the data-level

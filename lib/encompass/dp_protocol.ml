@@ -1,6 +1,6 @@
 type op_meta = {
   op_id : int;
-  transid : string option;
+  transid : Tandem_sim.Transid.t option;
   lock_timeout : Tandem_sim.Sim_time.span;
 }
 
@@ -36,8 +36,8 @@ type Tandem_os.Message.payload +=
       index : string;
       alternate : string;
     }
-  | Dp_flush_audit of string
-  | Dp_release of string
+  | Dp_flush_audit of Tandem_sim.Transid.t
+  | Dp_release of Tandem_sim.Transid.t
   | Dp_undo of Tandem_audit.Audit_record.image
   | Dp_ok
   | Dp_flushed of int

@@ -9,7 +9,7 @@
 
 type op_meta = {
   op_id : int;
-  transid : string option;
+  transid : Tandem_sim.Transid.t option;
   lock_timeout : Tandem_sim.Sim_time.span;
 }
 
@@ -38,8 +38,8 @@ type Tandem_os.Message.payload +=
       index : string;
       alternate : string;
     }
-  | Dp_flush_audit of string  (** transid *)
-  | Dp_release of string  (** transid *)
+  | Dp_flush_audit of Tandem_sim.Transid.t
+  | Dp_release of Tandem_sim.Transid.t
   | Dp_undo of Tandem_audit.Audit_record.image
   | Dp_ok  (** undo/lock acknowledgements *)
   | Dp_flushed of int  (** flush acknowledgement: number of images shipped *)

@@ -60,14 +60,13 @@ let call t ~self ~transid partition build_payload =
       let op =
         {
           op_id = Net.fresh_corr t.net;
-          transid = Option.map Tmf.Transid.to_string transid;
+          transid;
           lock_timeout = t.lock_timeout;
         }
       in
       (* Charge the data request and its reply to the transaction's span. *)
       (match transid with
-      | Some transid ->
-          Span.add_messages (Net.spans t.net) (Tmf.Transid.to_string transid) 2
+      | Some transid -> Span.add_messages (Net.spans t.net) transid 2
       | None -> ());
       match
         Rpc.call_name t.net ~self ~node:target_node ~name:volume

@@ -4,10 +4,10 @@ open Screen_program
 
 type terminal = {
   index : int;
-  mutable queue : string list; (* oldest first *)
+  queue : string Queue.t;
   mutable waiter : unit Fiber.resume option;
   mutable current_input : string option; (* checkpointed screen data *)
-  mutable current_transid : string option;
+  mutable current_transid : Tmf.Transid.t option;
   mutable output : string option;
   mutable completed : int;
   mutable aborted : int;
@@ -41,8 +41,8 @@ let observe_latency t started =
   Metrics.observe_latency (Net.metrics t.net) "encompass.tx_latency_ms.hist"
     elapsed
 
-let abort_quietly t process transid_string reason =
-  match Option.bind transid_string Tmf.Transid.of_string with
+let abort_quietly t process transid reason =
+  match transid with
   | None -> `Not_in_transaction
   | Some transid -> (
       match Tmf.abort_transaction t.tmf ~self:process ~reason transid with
@@ -103,7 +103,7 @@ let execute t term process input =
                 ~cpu:(Process.pid process).Ids.cpu
             in
             transaction := Some transid;
-            term.current_transid <- Some (Tmf.Transid.to_string transid);
+            term.current_transid <- Some transid;
             checkpoint t);
         end_transaction =
           (fun () ->
@@ -156,8 +156,7 @@ let execute t term process input =
         term.restarts <- term.restarts + 1;
         Metrics.incr (Metrics.counter (Net.metrics t.net) "encompass.restarts");
         (match term.current_transid with
-        | Some transid_string ->
-            Span.incr_restarts (Net.spans t.net) transid_string
+        | Some transid -> Span.incr_restarts (Net.spans t.net) transid
         | None -> ());
         if restarts_left > 0 then begin
           (* Randomized pause before re-executing: simultaneous restarts of
@@ -183,11 +182,9 @@ let execute t term process input =
   attempt (Tmf.restart_limit t.tmf)
 
 let rec next_input term =
-  match term.queue with
-  | input :: rest ->
-      term.queue <- rest;
-      input
-  | [] ->
+  match Queue.take_opt term.queue with
+  | Some input -> input
+  | None ->
       Fiber.suspend (fun resume -> term.waiter <- Some resume);
       next_input term
 
@@ -242,7 +239,7 @@ let spawn ~net ~tmf ~node ~name ~lookup_class ~primary_cpu ~backup_cpu
         Array.init terminals (fun index ->
             {
               index;
-              queue = [];
+              queue = Queue.create ();
               waiter = None;
               current_input = None;
               current_transid = None;
@@ -272,7 +269,7 @@ let submit t ~terminal input =
   if terminal < 0 || terminal >= Array.length t.terminals then
     invalid_arg "Tcp.submit: no such terminal";
   let term = t.terminals.(terminal) in
-  term.queue <- term.queue @ [ input ];
+  Queue.add input term.queue;
   match term.waiter with
   | Some resume ->
       term.waiter <- None;
@@ -292,9 +289,3 @@ let program_aborts t = sum t (fun term -> term.aborted)
 let failures t = sum t (fun term -> term.failed)
 
 let restarts t = sum t (fun term -> term.restarts)
-
-let busy_terminals t =
-  Array.fold_left
-    (fun acc term ->
-      if term.current_input <> None || term.queue <> [] then acc + 1 else acc)
-    0 t.terminals

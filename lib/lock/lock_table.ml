@@ -13,7 +13,7 @@ let file_of_resource = function
   | Record_lock { file; _ } -> file
 
 type waiter = {
-  wait_owner : string;
+  wait_owner : Transid.t;
   resource : resource;
   resume : [ `Granted | `Timeout ] Fiber.resume;
   mutable pending : bool;
@@ -21,8 +21,8 @@ type waiter = {
 }
 
 type file_state = {
-  mutable file_owner : string option;
-  mutable record_owners : (string, string) Hashtbl.t; (* key -> owner *)
+  mutable file_owner : Transid.t option;
+  mutable record_owners : (string, Transid.t) Hashtbl.t; (* key -> owner *)
 }
 
 (* Grantability only ever changes when a lock in the SAME file is released
@@ -32,25 +32,35 @@ type file_state = {
    release_all/locks_of O(locks held) instead of O(table). *)
 type t = {
   engine : Engine.t;
-  metrics : Metrics.t;
   spans : Span.t option;
   table_name : string;
   files : (string, file_state) Hashtbl.t;
-  owner_index : (string, (resource, unit) Hashtbl.t) Hashtbl.t;
+  owner_index : (resource, unit) Hashtbl.t Transid.Tbl.t;
   wait_queues : (string, waiter Queue.t) Hashtbl.t; (* file -> FIFO *)
   mutable waiting : int; (* pending waiters across all queues *)
+  requests : Metrics.counter Lazy.t;
+  waits : Metrics.counter Lazy.t;
+  grants_after_wait : Metrics.counter Lazy.t;
+  timeouts : Metrics.counter Lazy.t;
+  releases : Metrics.counter Lazy.t;
 }
 
+(* Counters resolve on first use, so an idle table registers none. *)
 let create ?spans engine ~metrics ~name =
+  let counter name = lazy (Metrics.counter metrics ("lock." ^ name)) in
   {
     engine;
-    metrics;
     spans;
     table_name = name;
     files = Hashtbl.create 32;
-    owner_index = Hashtbl.create 32;
+    owner_index = Transid.Tbl.create 32;
     wait_queues = Hashtbl.create 8;
     waiting = 0;
+    requests = counter "requests";
+    waits = counter "waits";
+    grants_after_wait = counter "grants_after_wait";
+    timeouts = counter "timeouts";
+    releases = counter "release_all";
   }
 
 let file_state t file =
@@ -64,7 +74,7 @@ let file_state t file =
 let other_record_owners state ~owner =
   Hashtbl.fold
     (fun _ record_owner found ->
-      found || not (String.equal record_owner owner))
+      found || not (Transid.equal record_owner owner))
     state.record_owners false
 
 let grantable t ~owner resource =
@@ -72,25 +82,25 @@ let grantable t ~owner resource =
   | Record_lock { file; key } -> (
       let state = file_state t file in
       match state.file_owner with
-      | Some file_owner when not (String.equal file_owner owner) -> false
+      | Some file_owner when not (Transid.equal file_owner owner) -> false
       | Some _ | None -> (
           match Hashtbl.find_opt state.record_owners key with
-          | Some record_owner -> String.equal record_owner owner
+          | Some record_owner -> Transid.equal record_owner owner
           | None -> true))
   | File_lock file ->
       let state = file_state t file in
       (match state.file_owner with
-      | Some file_owner -> String.equal file_owner owner
+      | Some file_owner -> Transid.equal file_owner owner
       | None -> true)
       && not (other_record_owners state ~owner)
 
 let note_granted t ~owner resource =
   let held =
-    match Hashtbl.find_opt t.owner_index owner with
+    match Transid.Tbl.find_opt t.owner_index owner with
     | Some held -> held
     | None ->
         let held = Hashtbl.create 8 in
-        Hashtbl.replace t.owner_index owner held;
+        Transid.Tbl.replace t.owner_index owner held;
         held
   in
   Hashtbl.replace held resource ()
@@ -107,8 +117,6 @@ let grant t ~owner resource =
   | File_lock file ->
       (file_state t file).file_owner <- Some owner;
       note_granted t ~owner resource
-
-let counter t name = Metrics.counter t.metrics ("lock." ^ name)
 
 (* Wake every waiter on the given files whose request became grantable, in
    FIFO order per file; a grant can unblock later grants only by release,
@@ -138,7 +146,7 @@ let wake_grantable t files =
                   | Some h -> Engine.cancel h
                   | None -> ());
                   grant t ~owner:waiter.wait_owner waiter.resource;
-                  Metrics.incr (counter t "grants_after_wait");
+                  Metrics.incr (Lazy.force t.grants_after_wait);
                   waiter.resume (Ok `Granted)
                 end
                 else Queue.add waiter queue
@@ -160,13 +168,13 @@ let enqueue_waiter t waiter =
   t.waiting <- t.waiting + 1
 
 let acquire t ~owner ~timeout resource =
-  Metrics.incr (counter t "requests");
+  Metrics.incr (Lazy.force t.requests);
   if grantable t ~owner resource then begin
     grant t ~owner resource;
     `Granted
   end
   else begin
-    Metrics.incr (counter t "waits");
+    Metrics.incr (Lazy.force t.waits);
     (match t.spans with
     | Some spans -> Span.incr_lock_waits spans owner
     | None -> ());
@@ -181,7 +189,7 @@ let acquire t ~owner ~timeout resource =
                    (* Stays queued; wake_grantable discards it lazily. *)
                    waiter.pending <- false;
                    t.waiting <- t.waiting - 1;
-                   Metrics.incr (counter t "timeouts");
+                   Metrics.incr (Lazy.force t.timeouts);
                    resume (Ok `Timeout)
                  end));
         enqueue_waiter t waiter)
@@ -195,10 +203,10 @@ let try_acquire t ~owner resource =
   else false
 
 let release_all t ~owner =
-  (match Hashtbl.find_opt t.owner_index owner with
+  (match Transid.Tbl.find_opt t.owner_index owner with
   | None -> ()
   | Some held ->
-      Hashtbl.remove t.owner_index owner;
+      Transid.Tbl.remove t.owner_index owner;
       let touched = Hashtbl.create 8 in
       Hashtbl.iter
         (fun resource () ->
@@ -208,18 +216,18 @@ let release_all t ~owner =
           | File_lock _ -> (
               let state = file_state t file in
               match state.file_owner with
-              | Some file_owner when String.equal file_owner owner ->
+              | Some file_owner when Transid.equal file_owner owner ->
                   state.file_owner <- None
               | Some _ | None -> ())
           | Record_lock { key; _ } -> (
               let state = file_state t file in
               match Hashtbl.find_opt state.record_owners key with
-              | Some record_owner when String.equal record_owner owner ->
+              | Some record_owner when Transid.equal record_owner owner ->
                   Hashtbl.remove state.record_owners key
               | Some _ | None -> ()))
         held;
       wake_grantable t (Hashtbl.fold (fun file () acc -> file :: acc) touched []));
-  Metrics.incr (counter t "release_all")
+  Metrics.incr (Lazy.force t.releases)
 
 let holder t resource =
   match resource with
@@ -237,11 +245,11 @@ let holder t resource =
 
 let holds t ~owner resource =
   match holder t resource with
-  | Some h -> String.equal h owner
+  | Some h -> Transid.equal h owner
   | None -> false
 
 let locks_of t ~owner =
-  match Hashtbl.find_opt t.owner_index owner with
+  match Transid.Tbl.find_opt t.owner_index owner with
   | None -> []
   | Some held -> Hashtbl.fold (fun resource () acc -> resource :: acc) held []
 
@@ -257,7 +265,7 @@ let waiting_count t = t.waiting
 
 let reset t =
   Hashtbl.reset t.files;
-  Hashtbl.reset t.owner_index;
+  Transid.Tbl.reset t.owner_index;
   Hashtbl.iter
     (fun _ queue ->
       Queue.iter

@@ -14,6 +14,7 @@ type ('state, 'ckpt) t = {
   mutable primary : (Process.t * 'state) option;
   mutable backup : (Process.t * 'state) option;
   mutable takeover_count : int;
+  checkpoints : Metrics.counter Lazy.t;
 }
 
 let is_checkpoint (message : Message.t) =
@@ -139,6 +140,7 @@ let create ~net ~node ~name ~primary_cpu ~backup_cpu ~init ~apply ~snapshot
       primary = None;
       backup = None;
       takeover_count = 0;
+      checkpoints = lazy (Metrics.counter (Net.metrics net) "os.checkpoints");
     }
   in
   let primary_state = init () in
@@ -154,7 +156,7 @@ let create ~net ~node ~name ~primary_cpu ~backup_cpu ~init ~apply ~snapshot
 
 let checkpoint t ckpt =
   let config = Node.config t.node in
-  Metrics.incr (Metrics.counter (Net.metrics t.net) "os.checkpoints");
+  Metrics.incr (Lazy.force t.checkpoints);
   match (t.primary, t.backup) with
   | Some (primary_process, _), Some (backup_process, backup_state)
     when Process.is_alive backup_process ->
@@ -171,10 +173,6 @@ let receive _t process =
   Process.receive ~filter:(fun message -> not (is_checkpoint message)) process
 
 let name t = t.pair_name
-
-let primary_pid t = Option.map (fun (p, _) -> Process.pid p) t.primary
-
-let backup_pid t = Option.map (fun (p, _) -> Process.pid p) t.backup
 
 let is_up t =
   match t.primary with

@@ -46,11 +46,6 @@ val receive : ('state, 'ckpt) t -> Process.t -> Message.t
 
 val name : ('state, 'ckpt) t -> string
 
-val primary_pid : ('state, 'ckpt) t -> Ids.pid option
-(** [None] when the pair is completely down. *)
-
-val backup_pid : ('state, 'ckpt) t -> Ids.pid option
-
 val is_up : ('state, 'ckpt) t -> bool
 
 val takeovers : ('state, 'ckpt) t -> int

@@ -6,7 +6,7 @@ let outcome_to_string = function
   | Aborted reason -> "aborted: " ^ reason
 
 type span = {
-  span_id : string;
+  span_id : Transid.t;
   begin_at : Sim_time.t;
   mutable phase1_at : Sim_time.t option;
   mutable phase2_at : Sim_time.t option;
@@ -27,8 +27,8 @@ type span = {
 type t = {
   engine : Engine.t;
   capacity : int;
-  active_table : (string, span) Hashtbl.t;
-  finished_table : (string, span) Hashtbl.t;
+  active_table : span Transid.Tbl.t;
+  finished_table : span Transid.Tbl.t;
   mutable finished : span list; (* newest first, trimmed to capacity *)
   mutable finished_size : int;
   mutable total_started : int;
@@ -40,8 +40,8 @@ let create ?(capacity = 4096) engine =
   {
     engine;
     capacity;
-    active_table = Hashtbl.create 256;
-    finished_table = Hashtbl.create 256;
+    active_table = Transid.Tbl.create 256;
+    finished_table = Transid.Tbl.create 256;
     finished = [];
     finished_size = 0;
     total_started = 0;
@@ -50,7 +50,7 @@ let create ?(capacity = 4096) engine =
   }
 
 let start t id =
-  match Hashtbl.find_opt t.active_table id with
+  match Transid.Tbl.find_opt t.active_table id with
   | Some span -> span
   | None ->
       let span =
@@ -73,7 +73,7 @@ let start t id =
           state_broadcasts = 0;
         }
       in
-      Hashtbl.replace t.active_table id span;
+      Transid.Tbl.replace t.active_table id span;
       t.total_started <- t.total_started + 1;
       span
 
@@ -81,9 +81,9 @@ let start t id =
    transid) may still refer to a finished span; unknown ids are dropped —
    the registry must never be grown by stray lock owners or replays. *)
 let find t id =
-  match Hashtbl.find_opt t.active_table id with
+  match Transid.Tbl.find_opt t.active_table id with
   | Some _ as hit -> hit
-  | None -> Hashtbl.find_opt t.finished_table id
+  | None -> Transid.Tbl.find_opt t.finished_table id
 
 let with_span t id f = match find t id with Some span -> f span | None -> ()
 
@@ -125,7 +125,7 @@ let add_state_broadcasts t id n =
   with_span t id (fun span -> span.state_broadcasts <- span.state_broadcasts + n)
 
 let finish t id outcome =
-  match Hashtbl.find_opt t.active_table id with
+  match Transid.Tbl.find_opt t.active_table id with
   | None -> None (* already finished (or never started): keep the first verdict *)
   | Some span ->
       span.end_at <- Some (Engine.now t.engine);
@@ -134,8 +134,8 @@ let finish t id outcome =
       | Committed -> t.total_committed <- t.total_committed + 1
       | Aborted _ -> t.total_aborted <- t.total_aborted + 1
       | Pending -> ());
-      Hashtbl.remove t.active_table id;
-      Hashtbl.replace t.finished_table id span;
+      Transid.Tbl.remove t.active_table id;
+      Transid.Tbl.replace t.finished_table id span;
       t.finished <- span :: t.finished;
       t.finished_size <- t.finished_size + 1;
       if t.finished_size > t.capacity then begin
@@ -146,7 +146,7 @@ let finish t id outcome =
             (fun i kept_span ->
               if i < keep then true
               else begin
-                Hashtbl.remove t.finished_table kept_span.span_id;
+                Transid.Tbl.remove t.finished_table kept_span.span_id;
                 false
               end)
             t.finished;
@@ -157,9 +157,7 @@ let finish t id outcome =
 let duration span =
   Option.map (fun end_at -> Sim_time.diff end_at span.begin_at) span.end_at
 
-let active t = Hashtbl.fold (fun _ span acc -> span :: acc) t.active_table []
-
-let active_count t = Hashtbl.length t.active_table
+let active_count t = Transid.Tbl.length t.active_table
 
 let finished t = List.rev t.finished
 
@@ -203,10 +201,10 @@ let pp_stamp formatter = function
 
 let pp_span formatter span =
   Format.fprintf formatter
-    "%s  begin=%a p1=%a p2=%a backout=%a end=%a  %s  msgs=%d prepares=%d \
+    "%a  begin=%a p1=%a p2=%a backout=%a end=%a  %s  msgs=%d prepares=%d \
      p2msgs=%d forces=%d lockwaits=%d restarts=%d undone=%d remote=%d"
-    span.span_id Sim_time.pp span.begin_at pp_stamp span.phase1_at pp_stamp
-    span.phase2_at pp_stamp span.backout_at pp_stamp span.end_at
+    Transid.pp span.span_id Sim_time.pp span.begin_at pp_stamp span.phase1_at
+    pp_stamp span.phase2_at pp_stamp span.backout_at pp_stamp span.end_at
     (outcome_to_string span.outcome)
     span.messages span.prepares span.phase2_msgs span.forced_writes
     span.lock_waits span.restarts span.images_undone span.remote_nodes
@@ -242,7 +240,7 @@ let stamp_json = function
 let to_json span =
   Json.Obj
     [
-      ("transid", Json.String span.span_id);
+      ("transid", Json.String (Transid.to_string span.span_id));
       ("begin_us", Json.Int span.begin_at);
       ("phase1_us", stamp_json span.phase1_at);
       ("phase2_us", stamp_json span.phase2_at);

@@ -19,7 +19,7 @@ type t
 type outcome = Pending | Committed | Aborted of string
 
 type span = {
-  span_id : string; (* the transid in its string form *)
+  span_id : Transid.t;
   begin_at : Sim_time.t;
   mutable phase1_at : Sim_time.t option;
   mutable phase2_at : Sim_time.t option;
@@ -40,39 +40,38 @@ type span = {
 val create : ?capacity:int -> Engine.t -> t
 (** [capacity] (default 4096) bounds the finished-span ring. *)
 
-val start : t -> string -> span
+val start : t -> Transid.t -> span
 (** Begin (or return the already-active) span for the transid. *)
 
-val find : t -> string -> span option
+val find : t -> Transid.t -> span option
 (** Active first, then the finished ring. *)
 
-val finish : t -> string -> outcome -> span option
+val finish : t -> Transid.t -> outcome -> span option
 (** Stamp [end_at], record the outcome and move the span to the finished
     ring. Returns [None] if the span was not active — a second resolution
     never overwrites the first. *)
 
 (** {1 Emit points} — all no-ops on unknown ids. *)
 
-val mark_phase1 : t -> string -> unit
-val mark_phase2 : t -> string -> unit
-val mark_backout : t -> string -> unit
+val mark_phase1 : t -> Transid.t -> unit
+val mark_phase2 : t -> Transid.t -> unit
+val mark_backout : t -> Transid.t -> unit
 
-val add_messages : t -> string -> int -> unit
-val incr_prepares : t -> string -> unit
-val incr_phase2_msgs : t -> string -> unit
-val incr_forced_writes : t -> string -> unit
-val incr_lock_waits : t -> string -> unit
-val incr_restarts : t -> string -> unit
-val add_images_undone : t -> string -> int -> unit
-val incr_remote_nodes : t -> string -> unit
-val add_state_broadcasts : t -> string -> int -> unit
+val add_messages : t -> Transid.t -> int -> unit
+val incr_prepares : t -> Transid.t -> unit
+val incr_phase2_msgs : t -> Transid.t -> unit
+val incr_forced_writes : t -> Transid.t -> unit
+val incr_lock_waits : t -> Transid.t -> unit
+val incr_restarts : t -> Transid.t -> unit
+val add_images_undone : t -> Transid.t -> int -> unit
+val incr_remote_nodes : t -> Transid.t -> unit
+val add_state_broadcasts : t -> Transid.t -> int -> unit
 
 (** {1 Reading back} *)
 
 val duration : span -> Sim_time.span option
 (** [end_at - begin_at] once finished. *)
 
-val active : t -> span list
 val active_count : t -> int
 
 val finished : t -> span list

@@ -5,6 +5,7 @@ open Tandem_audit
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let tx seq = Transid.make ~home:1 ~cpu:0 ~seq
 
 let make_volume () =
   let engine = Engine.create () in
@@ -20,34 +21,34 @@ let test_trail_append_and_filter () =
   let _, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   let s0 =
-    Audit_trail.append trail ~transid:"1.0.1"
+    Audit_trail.append trail ~transid:(tx 1)
       (image ~key:"a" ~before:None ~after:(Some "v1") ())
   in
   let s1 =
-    Audit_trail.append trail ~transid:"1.0.2"
+    Audit_trail.append trail ~transid:(tx 2)
       (image ~key:"b" ~before:None ~after:(Some "w1") ())
   in
   let s2 =
-    Audit_trail.append trail ~transid:"1.0.1"
+    Audit_trail.append trail ~transid:(tx 1)
       (image ~key:"a" ~before:(Some "v1") ~after:(Some "v2") ())
   in
   Alcotest.(check (list int)) "dense sequence" [ 0; 1; 2 ] [ s0; s1; s2 ];
-  let tx1 = Audit_trail.records_for trail ~transid:"1.0.1" in
+  let tx1 = Audit_trail.records_for trail ~transid:(tx 1) in
   check_int "two records for tx1" 2 (List.length tx1);
   Alcotest.(check (list int))
     "ascending" [ 0; 2 ]
     (List.map (fun r -> r.Audit_record.sequence) tx1);
   check_int "one for tx2" 1
-    (List.length (Audit_trail.records_for trail ~transid:"1.0.2"))
+    (List.length (Audit_trail.records_for trail ~transid:(tx 2)))
 
 let test_trail_force_and_crash () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   ignore
-    (Audit_trail.append trail ~transid:"t1"
+    (Audit_trail.append trail ~transid:(tx 1)
        (image ~key:"a" ~before:None ~after:(Some "1") ()));
   ignore
-    (Audit_trail.append trail ~transid:"t1"
+    (Audit_trail.append trail ~transid:(tx 1)
        (image ~key:"b" ~before:None ~after:(Some "2") ()));
   check_int "nothing forced yet" (-1) (Audit_trail.forced_up_to trail);
   ignore (Fiber.spawn (fun () -> Audit_trail.force trail));
@@ -57,22 +58,22 @@ let test_trail_force_and_crash () =
     (Tandem_disk.Volume.forced_writes volume);
   (* Append two more, force only later; crash loses the unforced tail. *)
   ignore
-    (Audit_trail.append trail ~transid:"t2"
+    (Audit_trail.append trail ~transid:(tx 2)
        (image ~key:"c" ~before:None ~after:(Some "3") ()));
   Audit_trail.crash trail;
   check_int "unforced lost" 0
-    (List.length (Audit_trail.records_for trail ~transid:"t2"));
+    (List.length (Audit_trail.records_for trail ~transid:(tx 2)));
   check_int "forced survive" 2
-    (List.length (Audit_trail.records_for trail ~transid:"t1"));
+    (List.length (Audit_trail.records_for trail ~transid:(tx 1)));
   (* Sequence numbering continues without holes against the survivors. *)
-  let s = Audit_trail.append trail ~transid:"t3" (image ~key:"d" ~before:None ~after:None ()) in
+  let s = Audit_trail.append trail ~transid:(tx 3) (image ~key:"d" ~before:None ~after:None ()) in
   check_int "sequence reused" 2 s
 
 let test_trail_force_idempotent () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   ignore
-    (Audit_trail.append trail ~transid:"t"
+    (Audit_trail.append trail ~transid:(tx 0)
        (image ~key:"a" ~before:None ~after:(Some "1") ()));
   ignore
     (Fiber.spawn (fun () ->
@@ -86,7 +87,7 @@ let test_trail_rollover_and_purge () =
   let trail = Audit_trail.create volume ~name:"$AUDIT" ~records_per_file:5 () in
   for i = 0 to 22 do
     ignore
-      (Audit_trail.append trail ~transid:"t"
+      (Audit_trail.append trail ~transid:(tx 0)
          (image ~key:(string_of_int i) ~before:None ~after:(Some "x") ()))
   done;
   check_bool "several files" true (Audit_trail.file_count trail >= 4);
@@ -96,21 +97,21 @@ let test_trail_rollover_and_purge () =
   check_bool "recent kept" true
     (List.exists
        (fun r -> r.Audit_record.sequence = 20)
-       (Audit_trail.records_for trail ~transid:"t"))
+       (Audit_trail.records_for trail ~transid:(tx 0)))
 
 let test_records_from_reads_only_forced () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   for i = 0 to 4 do
     ignore
-      (Audit_trail.append trail ~transid:"t"
+      (Audit_trail.append trail ~transid:(tx 0)
          (image ~key:(string_of_int i) ~before:None ~after:(Some "x") ()))
   done;
   ignore (Fiber.spawn (fun () -> Audit_trail.force trail));
   Engine.run engine;
   for i = 5 to 7 do
     ignore
-      (Audit_trail.append trail ~transid:"t"
+      (Audit_trail.append trail ~transid:(tx 0)
          (image ~key:(string_of_int i) ~before:None ~after:(Some "x") ()))
   done;
   check_int "rollforward sees forced only" 3
@@ -126,7 +127,7 @@ let test_group_commit_batches_forces () =
     ignore
       (Fiber.spawn (fun () ->
            ignore
-             (Audit_trail.append trail ~transid:(Printf.sprintf "t%d" i)
+             (Audit_trail.append trail ~transid:(tx i)
                 (image ~key:(string_of_int i) ~before:None ~after:(Some "v") ()));
            Audit_trail.force trail;
            incr done_count))
@@ -161,13 +162,13 @@ let test_monitor_trail () =
   let monitor = Monitor_trail.create volume in
   ignore
     (Fiber.spawn (fun () ->
-         Monitor_trail.record monitor ~transid:"1.0.1" Monitor_trail.Committed;
-         Monitor_trail.record monitor ~transid:"1.0.2" Monitor_trail.Aborted));
+         Monitor_trail.record monitor ~transid:(tx 1) Monitor_trail.Committed;
+         Monitor_trail.record monitor ~transid:(tx 2) Monitor_trail.Aborted));
   Engine.run engine;
-  (match Monitor_trail.disposition_of monitor ~transid:"1.0.1" with
+  (match Monitor_trail.disposition_of monitor ~transid:(tx 1) with
   | Some Monitor_trail.Committed -> ()
   | _ -> Alcotest.fail "commit recorded");
-  (match Monitor_trail.disposition_of monitor ~transid:"1.0.3" with
+  (match Monitor_trail.disposition_of monitor ~transid:(tx 3) with
   | None -> ()
   | Some _ -> Alcotest.fail "unknown transid");
   check_int "commit count" 1 (Monitor_trail.count monitor Monitor_trail.Committed);
@@ -177,7 +178,7 @@ let test_monitor_trail () =
     (Invalid_argument "Monitor_trail.record: duplicate disposition for 1.0.1")
     (fun () ->
       ignore (Fiber.spawn (fun () ->
-          Monitor_trail.record monitor ~transid:"1.0.1" Monitor_trail.Aborted));
+          Monitor_trail.record monitor ~transid:(tx 1) Monitor_trail.Aborted));
       Engine.run engine)
 
 let test_audit_process_round_trip () =
@@ -198,7 +199,7 @@ let test_audit_process_round_trip () =
     (Tandem_os.Node.spawn node ~cpu:2 (fun process ->
          (match
             Audit_process.append_images net ~self:process ~node:1 ~name:"$AUDIT"
-              ~transid:"1.2.3"
+              ~transid:(Transid.make ~home:1 ~cpu:2 ~seq:3)
               [
                 image ~key:"a" ~before:None ~after:(Some "v") ();
                 image ~key:"b" ~before:(Some "o") ~after:(Some "n") ();
@@ -213,7 +214,7 @@ let test_audit_process_round_trip () =
   Engine.run engine;
   check_bool "client finished" true !finished;
   check_int "two records in trail" 2
-    (List.length (Audit_trail.records_for trail ~transid:"1.2.3"));
+    (List.length (Audit_trail.records_for trail ~transid:(Transid.make ~home:1 ~cpu:2 ~seq:3)));
   check_int "forced" 1 (Audit_trail.forced_up_to trail);
   check_bool "audit process up" true (Audit_process.is_up audit_process)
 
@@ -236,7 +237,7 @@ let test_audit_process_survives_takeover () =
          let append key =
            match
              Audit_process.append_images net ~self:process ~node:1
-               ~name:"$AUDIT" ~transid:"t"
+               ~name:"$AUDIT" ~transid:(tx 0)
                [ image ~key ~before:None ~after:(Some "v") () ]
            with
            | Ok () -> incr ok
@@ -249,7 +250,7 @@ let test_audit_process_survives_takeover () =
   Engine.run engine;
   check_int "both appends acknowledged" 2 !ok;
   check_int "both records present" 2
-    (List.length (Audit_trail.records_for trail ~transid:"t"))
+    (List.length (Audit_trail.records_for trail ~transid:(tx 0)))
 
 let () =
   Alcotest.run "tandem_audit"

@@ -51,6 +51,61 @@ let test_fingerprint_carries_verdict () =
     [ "partition-heal"; "funds-conserved" ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden fingerprints: the MD5 of every quick-matrix scenario×seed
+   fingerprint, pinned so a refactor that claims to keep behaviour has to
+   keep every run byte-identical, not merely green. *)
+
+let golden_fingerprints =
+  [
+    ("cpu-crash-restart", 42, "51807b0c4feae26efc62abe43780b4ce");
+    ("cpu-crash-restart", 1981, "73645d40586018c69010d9752b39b803");
+    ("cpu-crash-restart", 7, "01066723a1c72539e74e1c13cf5a32b2");
+    ("dp-takeover", 42, "165dc6421fbef460903ed6aa8ddd3c5b");
+    ("dp-takeover", 1981, "1cc2c395a40872353c7f70a067297f95");
+    ("dp-takeover", 7, "ba678bbbe6ddebca3dc8e196feb62af7");
+    ("tcp-takeover", 42, "eec2f2c9a3ad5f5c7afc377171138bd8");
+    ("tcp-takeover", 1981, "b936540311c7289ff347fb7f45f59fd4");
+    ("tcp-takeover", 7, "746ffdaef9ec2093bc731b555925d470");
+    ("mirror-failure-revive", 42, "00a06707fb81da143443ee01b5d151b5");
+    ("mirror-failure-revive", 1981, "07d8071ac1066aa8c8609e433cb12db9");
+    ("mirror-failure-revive", 7, "32a614fce44577cdaeb92135668bf7a6");
+    ("controller-bus-flap", 42, "f7289b25c2680b459521329763161e5f");
+    ("controller-bus-flap", 1981, "b6904d105a727eb3db60256a4fecb29f");
+    ("controller-bus-flap", 7, "fb4ee2e0ee1f49ebdb6bb093e7c2a91c");
+    ("partition-heal", 42, "d1114afd0b86ebf78ea0d868d98ed18d");
+    ("partition-heal", 1981, "3edd7f886eb557fa3ab62b0e93a44848");
+    ("partition-heal", 7, "a0073f1fff7543480e62ac5f8314cab1");
+    ("message-delay-loss", 42, "962bc7fd58459d69499901e41e8b23c9");
+    ("message-delay-loss", 1981, "73bd12bc4fb0419fb765e39ace3bff7c");
+    ("message-delay-loss", 7, "39765eaddf5447eb0eca254fd328d39f");
+    ("home-crash-phase2", 42, "43b7967d929fb7bee5312e0197211596");
+    ("home-crash-phase2", 1981, "3b33b459a06f70ea86a3aea6fd416f0e");
+    ("home-crash-phase2", 7, "63b3c4e45609b3373e2fa4ba5ec6d6a9");
+    ("node-crash-rollforward", 42, "b1d687682f46c88da568008a1400b288");
+    ("node-crash-rollforward", 1981, "1ebb2fe10060b520f21916f3b16a7867");
+    ("node-crash-rollforward", 7, "4e8ae78a724a33034fd9a6b55d73400d");
+    ("recovery-storm", 42, "a212b391c3dcf5c964a597eeb64c3b8b");
+    ("recovery-storm", 1981, "4cb9dee0c0cb988406e3f05c9b0cbae8");
+    ("recovery-storm", 7, "d1c53b8217aabb3e9892f77b7ea623dd");
+    ("mfg-partition-reconverge", 42, "8b21ed385f91cefa2342bd5ac3c301a7");
+    ("mfg-partition-reconverge", 1981, "8363e24909864023925bf8477033e6d6");
+    ("mfg-partition-reconverge", 7, "9654d75f818805813f8cc457bc04f821");
+  ]
+
+let test_golden_fingerprints () =
+  List.iter
+    (fun (name, seed, want) ->
+      let report = Scenario.run (scenario name) ~seed ~quick:true in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed=%d: fingerprint MD5" name seed)
+        want
+        (Digest.to_hex (Digest.string (Scenario.fingerprint report))))
+    golden_fingerprints;
+  Alcotest.(check int) "every scenario pinned"
+    (3 * List.length Scenarios.all)
+    (List.length golden_fingerprints)
+
+(* ------------------------------------------------------------------ *)
 (* Determinism under parallelism: the contract extends across domains.
    The same scenario×seed tasks run serially and on 2/4/8-domain pools;
    fingerprints must stay byte-identical and the merged Metrics JSON (the
@@ -182,6 +237,8 @@ let () =
             test_different_seeds_differ;
           Alcotest.test_case "fingerprint carries verdict" `Quick
             test_fingerprint_carries_verdict;
+          Alcotest.test_case "golden fingerprints" `Quick
+            test_golden_fingerprints;
           Alcotest.test_case "determinism under parallelism" `Quick
             test_determinism_under_parallelism;
           Alcotest.test_case "metrics merge equals accumulation" `Quick

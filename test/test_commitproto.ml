@@ -121,7 +121,8 @@ type observation = {
    content or order. *)
 let render_record (r : Audit_record.t) =
   let image = r.Audit_record.image in
-  Printf.sprintf "%s|%s|%s|%s|%s|%s" r.Audit_record.transid
+  Printf.sprintf "%s|%s|%s|%s|%s|%s"
+    (Transid.to_string r.Audit_record.transid)
     image.Audit_record.volume image.Audit_record.file image.Audit_record.key
     (Option.value ~default:"-" image.Audit_record.before)
     (Option.value ~default:"-" image.Audit_record.after)
@@ -134,7 +135,7 @@ let observe ~config =
   let dispositions =
     List.map
       (fun (transid, d) ->
-        ( transid,
+        ( Transid.to_string transid,
           match d with
           | Monitor_trail.Committed -> "committed"
           | Monitor_trail.Aborted -> "aborted" ))
@@ -246,14 +247,16 @@ let test_acceptor_revalidates_after_force () =
   (* Higher-ballot phase one first, home's ballot-0 decide inside its force
      window: the decide's pre-force "not superseded" check is stale and the
      decide must be nacked, leaving the register free for the leader. *)
+  let race_a = Transid.make ~home:1 ~cpu:0 ~seq:901
+  and race_b = Transid.make ~home:1 ~cpu:0 ~seq:902 in
   let replies =
     send_concurrently cluster ~node:1 ~to_node:2
       [
         Tmf.Acceptor.Pax_p1a
-          { transid = "race-b"; instance = Tmf.Acceptor.Commit_instance;
+          { transid = race_b; instance = Tmf.Acceptor.Commit_instance;
             ballot = 7 };
         Tmf.Acceptor.Pax_decide
-          { transid = "race-b"; home = 1; participants = [ 2 ] };
+          { transid = race_b; home = 1; participants = [ 2 ] };
       ]
   in
   (match replies with
@@ -267,7 +270,7 @@ let test_acceptor_revalidates_after_force () =
   check_bool "nacked decide installed nothing" true
     (match
        send_concurrently cluster ~node:1 ~to_node:2
-         [ Tmf.Acceptor.Pax_read "race-b" ]
+         [ Tmf.Acceptor.Pax_read race_b ]
      with
     | [ Some (Tmf.Acceptor.Pax_state []) ] -> true
     | _ -> false);
@@ -278,9 +281,9 @@ let test_acceptor_revalidates_after_force () =
     send_concurrently cluster ~node:1 ~to_node:2
       [
         Tmf.Acceptor.Pax_decide
-          { transid = "race-a"; home = 1; participants = [ 2 ] };
+          { transid = race_a; home = 1; participants = [ 2 ] };
         Tmf.Acceptor.Pax_p1a
-          { transid = "race-a"; instance = Tmf.Acceptor.Commit_instance;
+          { transid = race_a; instance = Tmf.Acceptor.Commit_instance;
             ballot = 7 };
       ]
   in

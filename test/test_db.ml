@@ -731,6 +731,12 @@ let test_btree_compression_stats () =
   let stats = Compression.btree_stats tree in
   check_bool "keys compress well" true (Compression.ratio stats < 0.5)
 
+let prop_key_of_int_text =
+  QCheck.Test.make ~name:"Key.of_int = %012d text" ~count:500
+    QCheck.(oneof [ small_signed_int; int; int_range (-1_000) 1_000 ])
+    (fun n ->
+      n = min_int || String.equal (Key.of_int n) (Printf.sprintf "%012d" n))
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tandem_db"
@@ -761,7 +767,12 @@ let () =
           Alcotest.test_case "range and order" `Quick test_btree_range_and_order;
           Alcotest.test_case "delete then scan" `Quick test_btree_delete_then_scan;
         ]
-        @ qcheck [ prop_btree_matches_model; prop_btree_range_matches_model ] );
+        @ qcheck
+            [
+              prop_btree_matches_model;
+              prop_btree_range_matches_model;
+              prop_key_of_int_text;
+            ] );
       ( "flat_files",
         [
           Alcotest.test_case "relative file" `Quick test_relative_file;

@@ -231,6 +231,29 @@ let two_node_cluster () =
   in
   (cluster, tcp, spec)
 
+(* Cluster.load_file over several partitions: every touched store ends with
+   its flushed image equal to its current image, and charging back on — the
+   first read after the load misses the cleared cache into a physical
+   read. *)
+let test_bulk_load_flushes_partitions () =
+  let cluster, _, _ = two_node_cluster () in
+  List.iter
+    (fun (node, volume) ->
+      let store = Discprocess.store (Cluster.discprocess cluster ~node ~volume) in
+      let loaded = Store.snapshot store in
+      check_bool (volume ^ " holds part of the load") true (loaded <> []);
+      let disk = Store.volume store in
+      let reads = Tandem_disk.Volume.reads disk in
+      Cluster.run_client cluster ~node ~cpu:1 (fun _ ->
+          ignore (Store.read store (fst (List.hd loaded))));
+      Cluster.run cluster;
+      check_int (volume ^ " read charged") (reads + 1)
+        (Tandem_disk.Volume.reads disk);
+      Store.crash store;
+      check_bool (volume ^ " flushed image = loaded image") true
+        (Store.snapshot store = loaded))
+    [ (1, "$DATA1"); (2, "$DATA2") ]
+
 let test_distributed_commit () =
   let cluster, tcp, spec = two_node_cluster () in
   (* Account 10 lives on node 1, account 80 on node 2. *)
@@ -489,17 +512,17 @@ let test_reply_cache_replays_duplicate_op () =
   let cluster, _, _ = single_node_cluster () in
   let tmf = Cluster.tmf cluster in
   let results = ref [] in
-  let transid_string = ref "" in
+  let transid_ref = ref None in
   Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
       let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
-      transid_string := Tmf.Transid.to_string transid;
+      transid_ref := Some transid;
       (* Sending raw DISCPROCESS messages bypasses the File System, so do
          its participant bookkeeping by hand. *)
       Tmf.note_local_participant tmf ~node:1 ~volume:"$DATA1" transid;
       let op =
         {
           Dp_protocol.op_id = 424_242;
-          transid = Some (Tmf.Transid.to_string transid);
+          transid = Some transid;
           lock_timeout = Sim_time.seconds 1;
         }
       in
@@ -526,8 +549,9 @@ let test_reply_cache_replays_duplicate_op () =
   (* Applied exactly once: the update is absolute, so this only proves no
      error occurred; the audit trail proves single execution. *)
   let state = Tmf.node_state tmf 1 in
+  let transid = Option.get !transid_ref in
   (match Tandem_audit.Monitor_trail.disposition_of state.Tmf.Tmf_state.monitor
-           ~transid:!transid_string with
+           ~transid with
   | Some Tandem_audit.Monitor_trail.Committed -> ()
   | _ -> Alcotest.fail "transaction did not commit");
   let trail = Hashtbl.find state.Tmf.Tmf_state.trails "$AUDIT" in
@@ -538,7 +562,7 @@ let test_reply_cache_replays_duplicate_op () =
        (List.filter
           (fun r ->
             not (Tandem_audit.Audit_record.is_commit_marker r.Tandem_audit.Audit_record.image))
-          (Tandem_audit.Audit_trail.records_for trail ~transid:!transid_string)))
+          (Tandem_audit.Audit_trail.records_for trail ~transid)))
 
 (* ------------------------------------------------------------------ *)
 (* Abandoned transactions are auto-aborted at the time limit *)
@@ -583,7 +607,7 @@ let test_stale_lock_reaped_by_waiter () =
   (* Plant a ghost: a lock owned by a transid TMF has never heard of. *)
   check_bool "ghost grantable" true
     (Tandem_lock.Lock_table.try_acquire (Discprocess.lock_table dp)
-       ~owner:"1.3.999"
+       ~owner:(Transid.make ~home:1 ~cpu:3 ~seq:999)
        (Tandem_lock.Lock_table.Record_lock
           { file = "ACCOUNT"; key = Tandem_db.Key.of_int 3 }));
   Tcp.submit tcp ~terminal:0 (dc_input ~account:3 ~delta:50 ());
@@ -895,7 +919,7 @@ let test_spanning_tree_shape () =
        (fun () ->
          let children node =
            let state = Tmf.node_state (Cluster.tmf cluster) node in
-           Hashtbl.fold
+           Transid.Tbl.fold
              (fun _ info acc -> info.Tmf.Tmf_state.children @ acc)
              state.Tmf.Tmf_state.registry []
            |> List.sort_uniq Int.compare
@@ -1168,6 +1192,8 @@ let () =
           Alcotest.test_case "relative file transactional" `Quick
             test_relative_file_transactional;
           Alcotest.test_case "two audit trails" `Quick test_two_audit_trails;
+          Alcotest.test_case "bulk load flushes every partition" `Quick
+            test_bulk_load_flushes_partitions;
           Alcotest.test_case "server autoscaling" `Quick test_server_autoscaling;
           Alcotest.test_case "node security control" `Quick test_node_security_control;
           Alcotest.test_case "explicit RESTART-TRANSACTION" `Quick

@@ -66,7 +66,7 @@ module Trail_model = struct
     t.files <- (if keep = [] then [ [] ] else keep)
 
   let records_for t ~transid =
-    List.filter (fun r -> String.equal r.Audit_record.transid transid) (all t)
+    List.filter (fun r -> Transid.equal r.Audit_record.transid transid) (all t)
 
   let records_from t ~sequence =
     List.filter
@@ -101,7 +101,10 @@ let trail_op_print = function
   | Crash -> "crash"
   | Purge s -> Printf.sprintf "purge %d%%" s
 
-let transid_pool = [| "1.0.0"; "1.0.1"; "2.0.0"; "2.0.1" |]
+let transid_pool =
+  Array.map
+    (fun (home, seq) -> Transid.make ~home ~cpu:0 ~seq)
+    [| (1, 0); (1, 1); (2, 0); (2, 1) |]
 
 let record_eq a b = a = b (* immutable scalars throughout *)
 
@@ -188,8 +191,8 @@ let prop_trail_matches_model =
 
 module Lock_model = struct
   type t = {
-    mutable file_owners : (string * string) list; (* file -> owner *)
-    mutable record_owners : ((string * string) * string) list;
+    mutable file_owners : (string * Transid.t) list; (* file -> owner *)
+    mutable record_owners : ((string * string) * Transid.t) list;
         (* (file, key) -> owner *)
   }
 
@@ -285,7 +288,7 @@ let lock_table_agrees locks model =
   && waiting_count locks = 0
   && List.for_all
        (fun owner_index ->
-         let owner = Printf.sprintf "t%d" owner_index in
+         let owner = Transid.make ~home:1 ~cpu:0 ~seq:owner_index in
          List.sort compare
            (List.map render_resource (locks_of locks ~owner))
          = List.sort compare
@@ -310,7 +313,7 @@ let prop_lock_table_matches_model =
         (fun op ->
           (match op with
           | Acquire (owner_index, file_index, key_index) ->
-              let owner = Printf.sprintf "t%d" owner_index in
+              let owner = Transid.make ~home:1 ~cpu:0 ~seq:owner_index in
               let file = Printf.sprintf "F%d" file_index in
               let resource =
                 if key_index = 0 then Tandem_lock.Lock_table.File_lock file
@@ -323,7 +326,7 @@ let prop_lock_table_matches_model =
               && Tandem_lock.Lock_table.holder locks resource
                  = Lock_model.holder model resource
           | Release owner_index ->
-              let owner = Printf.sprintf "t%d" owner_index in
+              let owner = Transid.make ~home:1 ~cpu:0 ~seq:owner_index in
               Tandem_lock.Lock_table.release_all locks ~owner;
               Lock_model.release_all model ~owner;
               true)
@@ -419,14 +422,14 @@ let test_parallel_prepare_equivalence () =
         (Printf.sprintf "node %d dispositions identical" (i + 1))
         (List.map
            (fun (transid, d) ->
-             ( transid,
+             ( Transid.to_string transid,
                match d with
                | Monitor_trail.Committed -> "committed"
                | Monitor_trail.Aborted -> "aborted" ))
            serial)
         (List.map
            (fun (transid, d) ->
-             ( transid,
+             ( Transid.to_string transid,
                match d with
                | Monitor_trail.Committed -> "committed"
                | Monitor_trail.Aborted -> "aborted" ))

@@ -5,6 +5,7 @@ open Tandem_lock
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let tx seq = Transid.make ~home:1 ~cpu:0 ~seq
 
 let make () =
   let engine = Engine.create () in
@@ -24,11 +25,11 @@ let test_grant_and_conflict () =
   let note name result = results := (name, result) :: !results in
   ignore
     (Fiber.spawn (fun () ->
-         let r = Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a") in
+         let r = Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a") in
          note "t1" r));
   ignore
     (Fiber.spawn (fun () ->
-         let r = Lock_table.acquire locks ~owner:"t2" ~timeout (record "F" "a") in
+         let r = Lock_table.acquire locks ~owner:(tx 2) ~timeout (record "F" "a") in
          note "t2" r));
   Engine.run engine;
   (* t1 granted instantly; t2 timed out after 1s (never released). *)
@@ -39,25 +40,25 @@ let test_grant_and_conflict () =
   | `Timeout -> ()
   | `Granted -> Alcotest.fail "t2 should time out");
   check_int "one lock held" 1 (Lock_table.locked_count locks);
-  check_bool "t1 still holds" true (Lock_table.holds locks ~owner:"t1" (record "F" "a"))
+  check_bool "t1 still holds" true (Lock_table.holds locks ~owner:(tx 1) (record "F" "a"))
 
 let test_release_wakes_waiter () =
   let engine, locks = make () in
   let t2_result = ref None in
   ignore
     (Fiber.spawn (fun () ->
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a"));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a"));
          Fiber.sleep engine (Sim_time.milliseconds 100);
-         Lock_table.release_all locks ~owner:"t1"));
+         Lock_table.release_all locks ~owner:(tx 1)));
   ignore
     (Fiber.spawn (fun () ->
          t2_result :=
-           Some (Lock_table.acquire locks ~owner:"t2" ~timeout (record "F" "a"))));
+           Some (Lock_table.acquire locks ~owner:(tx 2) ~timeout (record "F" "a"))));
   Engine.run engine;
   (match !t2_result with
   | Some `Granted -> ()
   | _ -> Alcotest.fail "t2 should be granted after release");
-  check_bool "t2 holds now" true (Lock_table.holds locks ~owner:"t2" (record "F" "a"));
+  check_bool "t2 holds now" true (Lock_table.holds locks ~owner:(tx 2) (record "F" "a"));
   check_bool "wait took the release delay" true
     (Engine.now engine >= Sim_time.milliseconds 100)
 
@@ -65,10 +66,10 @@ let test_reacquire_is_noop () =
   let engine, locks = make () in
   ignore
     (Fiber.spawn (fun () ->
-         (match Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a") with
+         (match Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a") with
          | `Granted -> ()
          | `Timeout -> Alcotest.fail "first acquire");
-         match Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a") with
+         match Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a") with
          | `Granted -> ()
          | `Timeout -> Alcotest.fail "reacquire should be immediate"));
   Engine.run engine;
@@ -80,15 +81,15 @@ let test_file_lock_hierarchy () =
   let note name result = log := (name, result) :: !log in
   ignore
     (Fiber.spawn (fun () ->
-         let r = Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a") in
+         let r = Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a") in
          note "t1-rec" r));
   ignore
     (Fiber.spawn (fun () ->
-         let r = Lock_table.acquire locks ~owner:"t2" ~timeout (Lock_table.File_lock "F") in
+         let r = Lock_table.acquire locks ~owner:(tx 2) ~timeout (Lock_table.File_lock "F") in
          note "t2-file" r));
   ignore
     (Fiber.spawn (fun () ->
-         let r = Lock_table.acquire locks ~owner:"t2" ~timeout (record "G" "x") in
+         let r = Lock_table.acquire locks ~owner:(tx 2) ~timeout (record "G" "x") in
          note "t2-other" r));
   Engine.run engine;
   (match List.assoc "t1-rec" !log with
@@ -108,14 +109,14 @@ let test_file_lock_blocks_records () =
   let t2 = ref None in
   ignore
     (Fiber.spawn (fun () ->
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (Lock_table.File_lock "F"));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (Lock_table.File_lock "F"));
          (* The file-lock holder's own record access is implied. *)
-         match Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "k") with
+         match Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "k") with
          | `Granted -> ()
          | `Timeout -> Alcotest.fail "own record under file lock"));
   ignore
     (Fiber.spawn (fun () ->
-         t2 := Some (Lock_table.acquire locks ~owner:"t2" ~timeout (record "F" "k"))));
+         t2 := Some (Lock_table.acquire locks ~owner:(tx 2) ~timeout (record "F" "k"))));
   Engine.run engine;
   match !t2 with
   | Some `Timeout -> ()
@@ -125,13 +126,13 @@ let test_release_all_releases_everything () =
   let engine, locks = make () in
   ignore
     (Fiber.spawn (fun () ->
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a"));
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "b"));
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (Lock_table.File_lock "G"))));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a"));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "b"));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (Lock_table.File_lock "G"))));
   Engine.run engine;
   check_int "three locks" 3 (Lock_table.locked_count locks);
-  check_int "t1 owns three" 3 (List.length (Lock_table.locks_of locks ~owner:"t1"));
-  Lock_table.release_all locks ~owner:"t1";
+  check_int "t1 owns three" 3 (List.length (Lock_table.locks_of locks ~owner:(tx 1)));
+  Lock_table.release_all locks ~owner:(tx 1);
   check_int "empty" 0 (Lock_table.locked_count locks);
   check_bool "holder gone" true (Lock_table.holder locks (record "F" "a") = None)
 
@@ -140,7 +141,7 @@ let test_fifo_wake_order () =
   let order = ref [] in
   ignore
     (Fiber.spawn (fun () ->
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a"))));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a"))));
   let waiter name delay =
     ignore
       (Fiber.spawn (fun () ->
@@ -154,19 +155,20 @@ let test_fifo_wake_order () =
                Lock_table.release_all locks ~owner:name
            | `Timeout -> Alcotest.fail "waiter timed out"))
   in
-  waiter "t2" (Sim_time.milliseconds 1);
-  waiter "t3" (Sim_time.milliseconds 2);
+  waiter (tx 2) (Sim_time.milliseconds 1);
+  waiter (tx 3) (Sim_time.milliseconds 2);
   ignore
     (Engine.schedule_at engine (Sim_time.milliseconds 50) (fun () ->
-         Lock_table.release_all locks ~owner:"t1"));
+         Lock_table.release_all locks ~owner:(tx 1)));
   Engine.run engine;
-  Alcotest.(check (list string)) "fifo order" [ "t2"; "t3" ] (List.rev !order)
+  Alcotest.(check (list int)) "fifo order" [ 2; 3 ]
+    (List.rev_map Transid.seq !order)
 
 let test_deadlock_resolved_by_timeout () =
   (* Classic crossing order: t1 takes a then b; t2 takes b then a. *)
   let engine, locks = make () in
   let outcomes = ref [] in
-  let tx name first second =
+  let crossing name first second =
     ignore
       (Fiber.spawn (fun () ->
            (match
@@ -184,8 +186,8 @@ let test_deadlock_resolved_by_timeout () =
            | `Timeout -> Lock_table.release_all locks ~owner:name
            | `Granted -> ()))
   in
-  tx "t1" "a" "b";
-  tx "t2" "b" "a";
+  crossing (tx 1) "a" "b";
+  crossing (tx 2) "b" "a";
   Engine.run engine;
   let timeouts =
     List.length (List.filter (fun (_, r) -> r = `Timeout) !outcomes)
@@ -201,7 +203,7 @@ let test_reset_drops_everything () =
   let engine, locks = make () in
   ignore
     (Fiber.spawn (fun () ->
-         ignore (Lock_table.acquire locks ~owner:"t1" ~timeout (record "F" "a"))));
+         ignore (Lock_table.acquire locks ~owner:(tx 1) ~timeout (record "F" "a"))));
   Engine.run engine;
   Lock_table.reset locks;
   check_int "no locks" 0 (Lock_table.locked_count locks);
@@ -215,7 +217,7 @@ let prop_exclusivity =
       let violation = ref false in
       List.iteri
         (fun i (owner_index, key_index) ->
-          let owner = Printf.sprintf "t%d" owner_index in
+          let owner = tx owner_index in
           let key = Printf.sprintf "k%d" key_index in
           ignore
             (Fiber.spawn (fun () ->
@@ -226,7 +228,7 @@ let prop_exclusivity =
                  with
                  | `Granted ->
                      (match Lock_table.holder locks (record "F" key) with
-                     | Some h when h <> owner -> violation := true
+                     | Some h when not (Transid.equal h owner) -> violation := true
                      | Some _ -> ()
                      | None -> violation := true);
                      Fiber.sleep engine (Sim_time.milliseconds 20);

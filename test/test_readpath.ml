@@ -124,7 +124,7 @@ let test_crash_after_phase1_read_only_child () =
       (* Drive phase one at the child directly, as the home TMP would. *)
       match
         Rpc.call_name (Cluster.net cluster) ~self:process ~node:2 ~name:"$TMP"
-          (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+          (Tmf.Tmp.Prepare transid)
       with
       | Ok reply -> prepare_reply := Some reply
       | Error e -> Alcotest.failf "prepare failed: %a" Rpc.pp_error e);
@@ -198,7 +198,7 @@ let test_presumed_abort_resolution_after_restart () =
       | Error e -> Alcotest.failf "update failed: %a" File_client.pp_error e);
       match
         Rpc.call_name (Cluster.net cluster) ~self:process ~node:2 ~name:"$TMP"
-          (Tmf.Tmp.Prepare (Tmf.Transid.to_string transid))
+          (Tmf.Tmp.Prepare transid)
       with
       | Ok reply -> prepare_reply := Some reply
       | Error e -> Alcotest.failf "prepare failed: %a" Rpc.pp_error e);
@@ -330,7 +330,8 @@ type observation = {
    their content or order. *)
 let render_record (r : Audit_record.t) =
   let image = r.Audit_record.image in
-  Printf.sprintf "%s|%s|%s|%s|%s|%s" r.Audit_record.transid
+  Printf.sprintf "%s|%s|%s|%s|%s|%s"
+    (Transid.to_string r.Audit_record.transid)
     image.Audit_record.volume image.Audit_record.file image.Audit_record.key
     (Option.value ~default:"-" image.Audit_record.before)
     (Option.value ~default:"-" image.Audit_record.after)
@@ -342,7 +343,7 @@ let observe ~config =
   let dispositions =
     List.map
       (fun (transid, d) ->
-        ( transid,
+        ( Transid.to_string transid,
           match d with
           | Monitor_trail.Committed -> "committed"
           | Monitor_trail.Aborted -> "aborted" ))

@@ -21,7 +21,12 @@ open Tandem_chaos
 module Db = Tandem_db
 
 let check_int = Alcotest.(check int)
-let check_edges = Alcotest.(check (list (pair string string)))
+let tx seq = Transid.make ~home:1 ~cpu:0 ~seq
+
+let check_edges name want edges =
+  Alcotest.(check (list (pair int int)))
+    name want
+    (List.map (fun (a, b) -> (Transid.seq a, Transid.seq b)) edges)
 
 (* ------------------------------------------------------------------ *)
 (* Logical state digest *)
@@ -287,58 +292,58 @@ let force trail engine =
 let test_dependency_edges_logged () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   (* Same transaction rewriting its own key logs no edge... *)
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"b" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"b" ()));
   (* ...and distinct keys are independent histories. *)
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"b" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"b" ()));
   check_edges "unforced edges are invisible" []
     (Audit_trail.dependency_edges trail);
   check_int "buffered edges counted" 2
     (Audit_trail.dependency_edge_count trail);
   force trail engine;
   check_edges "edges per key, consecutive writers only"
-    [ ("T1", "T2"); ("T1", "T3") ]
+    [ (1, 2); (1, 3) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_markers_skipped () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
   ignore
-    (Audit_trail.append trail ~transid:"T1" Audit_record.commit_marker_image);
+    (Audit_trail.append trail ~transid:(tx 1) Audit_record.commit_marker_image);
   ignore
-    (Audit_trail.append trail ~transid:"T2" Audit_record.commit_marker_image);
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+    (Audit_trail.append trail ~transid:(tx 2) Audit_record.commit_marker_image);
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   force trail engine;
   (* Both transactions wrote the marker sentinel; only the real data key
      may produce an edge. *)
   check_edges "markers log no edges"
-    [ ("T1", "T2") ]
+    [ (1, 2) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_index_survives_crash () =
   let engine, volume = make_volume () in
   let trail = Audit_trail.create volume ~name:"$AUDIT" () in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
   force trail engine;
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"a" ()));
   check_int "tail edge buffered" 2 (Audit_trail.dependency_edge_count trail);
   Audit_trail.crash trail;
   check_int "volatile edge died with the tail" 1
     (Audit_trail.dependency_edge_count trail);
   check_edges "forced edges survive"
-    [ ("T1", "T2") ]
+    [ (1, 2) ]
     (Audit_trail.dependency_edges trail);
   (* The writer history must have forgotten T3 with the tail: the next
      writer of "a" depends on T2, not on the lost record. *)
-  ignore (Audit_trail.append trail ~transid:"T4" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 4) (image ~key:"a" ()));
   force trail engine;
   check_edges "post-crash edge chains from the surviving writer"
-    [ ("T1", "T2"); ("T2", "T4") ]
+    [ (1, 2); (2, 4) ]
     (Audit_trail.dependency_edges trail)
 
 let test_dependency_index_survives_purge () =
@@ -346,22 +351,22 @@ let test_dependency_index_survives_purge () =
   let trail =
     Audit_trail.create volume ~name:"$AUDIT" ~records_per_file:2 ()
   in
-  ignore (Audit_trail.append trail ~transid:"T1" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T2" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T3" (image ~key:"a" ()));
-  ignore (Audit_trail.append trail ~transid:"T4" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 1) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 2) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 3) (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 4) (image ~key:"a" ()));
   force trail engine;
   check_int "one file archived away" 1
     (Audit_trail.purge_files_before trail ~sequence:2);
   (* The T1->T2 edge (sequence 1) lived in the purged file's range; the
      later edges survive even though T2's own record is gone. *)
   check_edges "prefix edges dropped with their file"
-    [ ("T2", "T3"); ("T3", "T4") ]
+    [ (2, 3); (3, 4) ]
     (Audit_trail.dependency_edges trail);
-  ignore (Audit_trail.append trail ~transid:"T5" (image ~key:"a" ()));
+  ignore (Audit_trail.append trail ~transid:(tx 5) (image ~key:"a" ()));
   force trail engine;
   check_edges "index still live after purge"
-    [ ("T2", "T3"); ("T3", "T4"); ("T4", "T5") ]
+    [ (2, 3); (3, 4); (4, 5) ]
     (Audit_trail.dependency_edges trail)
 
 let () =

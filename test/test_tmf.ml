@@ -20,15 +20,26 @@ let test_transid_round_trip () =
   | Some parsed -> check_bool "parse" true (Tmf.Transid.equal parsed transid)
   | None -> Alcotest.fail "parse failed");
   check_int "home" 7 (Tmf.Transid.home transid);
+  let widest = Tmf.Transid.make ~home:255 ~cpu:15 ~seq:((1 lsl 40) - 1) in
+  Alcotest.(check string) "widest fields survive packing" "255.15.1099511627775"
+    (Tmf.Transid.to_string widest);
   Alcotest.(check (option (of_pp Fmt.nop))) "garbage" None
-    (Tmf.Transid.of_string "not-a-transid")
+    (Tmf.Transid.of_string "not-a-transid");
+  Alcotest.(check (option (of_pp Fmt.nop))) "cpu out of range" None
+    (Tmf.Transid.of_string "1.16.0");
+  Alcotest.check_raises "make rejects a 17th processor"
+    (Invalid_argument "Transid.make: 1.16.0 out of range") (fun () ->
+      ignore (Tmf.Transid.make ~home:1 ~cpu:16 ~seq:0))
 
 let prop_transid_round_trip =
   QCheck.Test.make ~name:"transid string round trip" ~count:200
     QCheck.(triple (int_bound 99) (int_bound 15) small_nat)
     (fun (home, cpu, seq) ->
       let transid = Tmf.Transid.make ~home ~cpu ~seq in
-      match Tmf.Transid.of_string (Tmf.Transid.to_string transid) with
+      let text = Tmf.Transid.to_string transid in
+      Tmf.Transid.text_length transid = String.length text
+      &&
+      match Tmf.Transid.of_string text with
       | Some parsed -> Tmf.Transid.equal parsed transid
       | None -> false)
 
@@ -43,7 +54,8 @@ let prop_transid_order_consistent =
       let b = Tmf.Transid.make ~home:h2 ~cpu:c2 ~seq:s2 in
       let c = Tmf.Transid.compare a b in
       (c = 0) = Tmf.Transid.equal a b
-      && Tmf.Transid.compare b a = -c)
+      && Tmf.Transid.compare b a = -c
+      && Int.compare c 0 = Int.compare (compare (h1, c1, s1) (h2, c2, s2)) 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tx_state: exactly the arcs of Figure 3 *)
