@@ -20,13 +20,18 @@
    - labeled counter bump: the Metrics labeled-counter increment the
      per-message/per-RPC instrumentation pays.
 
+   Plus one end-to-end row: a fixed small debit-credit run on one node,
+   the same in quick and full mode, reporting host ns per engine event and
+   minor words allocated per committed transaction — every layer's
+   per-event cost, not just the queue's.
+
    Fixed work per benchmark, wall-clock timed; a full run rewrites
    BENCH_engine.json against the committed baseline numbers (measured at
    [baseline_commit] with the seed engine: closure-compare heap, no event
    pooling, no tombstone reaping, sprintf-per-increment labeled counters).
    Quick mode shrinks the work and leaves the JSON untouched, but still
-   prints machine-readable ENGINE_SMOKE lines for the CI regression
-   guard. *)
+   prints machine-readable ENGINE_SMOKE and ENGINE_E2E lines for the CI
+   regression guard. *)
 
 open Tandem_sim
 open Bench_util
@@ -161,6 +166,26 @@ let labeled_counter_bump ~budget () =
   done;
   budget
 
+(* The end-to-end row: 16 terminals x 150 debit-credits on a 1,000-account
+   bank, run to completion. *)
+let bank_e2e_name = "bank/1-node debit-credit, 2400 commits"
+
+let bank_e2e () =
+  let bank = make_bank ~seed:42 ~terminals:16 ~accounts:1_000 () in
+  queue_debit_credit bank ~per_terminal:150;
+  let engine = Tandem_encompass.Cluster.engine bank.cluster in
+  let words = Gc.minor_words () in
+  let started = Unix.gettimeofday () in
+  Tandem_encompass.Cluster.run bank.cluster;
+  let elapsed = Unix.gettimeofday () -. started in
+  let words = Gc.minor_words () -. words in
+  let events = Engine.events_executed engine and commits = total_completed bank in
+  ( events,
+    commits,
+    elapsed,
+    elapsed *. 1e9 /. float_of_int events,
+    words /. float_of_int commits )
+
 (* ------------------------------------------------------------------ *)
 
 let benchmarks ~quick =
@@ -175,7 +200,7 @@ let benchmarks ~quick =
       labeled_counter_bump ~budget:(scale 4_000_000) );
   ]
 
-let write_json rows =
+let write_json rows (events, commits, elapsed, ns_per_event, words_per_commit) =
   let entries =
     List.map
       (fun (name, events, elapsed, rate) ->
@@ -202,6 +227,19 @@ let write_json rows =
         ("schema", Json.String "tandem-bench-engine/1");
         ("baseline_commit", Json.String baseline_commit);
         ("benchmarks", Json.List entries);
+        ( "end_to_end",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("name", Json.String bank_e2e_name);
+                  ("events", Json.Int events);
+                  ("commits", Json.Int commits);
+                  ("elapsed_s", Json.Float elapsed);
+                  ("ns_per_event", Json.Float ns_per_event);
+                  ("minor_words_per_commit", Json.Float words_per_commit);
+                ];
+            ] );
       ]
   in
   let out = open_out "BENCH_engine.json" in
@@ -239,17 +277,24 @@ let run () =
            | None -> "-");
          ])
        rows);
+  let ((events, commits, _, ns_per_event, words_per_commit) as e2e) =
+    bank_e2e ()
+  in
+  Printf.printf "\n%s: %d events, %d commits, %.0f ns/event, %.0f minor words/commit\n"
+    bank_e2e_name events commits ns_per_event words_per_commit;
   (* Machine-readable lines for the CI smoke guard (quick and full). *)
   List.iter
     (fun (name, _, _, rate) ->
       Printf.printf "ENGINE_SMOKE name=%S events_per_sec=%.0f\n" name rate)
     rows;
+  Printf.printf "ENGINE_E2E name=%S ns_per_event=%.0f minor_words_per_commit=%.0f\n"
+    bank_e2e_name ns_per_event words_per_commit;
   if quick then
     print_endline "quick mode: BENCH_engine.json left untouched"
-  else write_json rows;
+  else write_json rows e2e;
   observed
-    "monomorphizing the event heap, fusing the run loop's peek/pop, pooling \
-     event records and reaping cancelled tombstones lift every engine shape; \
-     the cancel storm gains the most (the seed engine carried every \
+    "an integer-indexed queue (slot slab, int-array heap) with reused \
+     slots and reaped cancelled tombstones lifts every engine shape; the \
+     cancel storm gains the most (the seed engine carried every \
      cancelled timeout to the end of the run), and interned counter-family \
      handles remove the sprintf+hash lookup from labeled increments"

@@ -12,67 +12,57 @@ module Rollforward = Rollforward
 module Acceptor = Acceptor
 module Paxos_commit = Paxos_commit
 
+type installed = {
+  state : Tmf_state.node_state;
+  tmp : Tmp.t;
+  rollforward : Rollforward.t;
+  acceptor : Acceptor.t;
+}
+
 type t = {
   net : Net.t;
-  node_states : (Ids.node_id, Tmf_state.node_state) Hashtbl.t;
-  tmps : (Ids.node_id, Tmp.t) Hashtbl.t;
-  rollforwards : (Ids.node_id, Rollforward.t) Hashtbl.t;
-  acceptors : (Ids.node_id, Acceptor.t) Hashtbl.t;
+  mutable nodes : installed option array; (* by node id *)
   restart_limit : int;
 }
 
-let create ?(restart_limit = 3) net =
-  {
-    net;
-    node_states = Hashtbl.create 8;
-    tmps = Hashtbl.create 8;
-    rollforwards = Hashtbl.create 8;
-    acceptors = Hashtbl.create 8;
-    restart_limit;
-  }
+let create ?(restart_limit = 3) net = { net; nodes = [||]; restart_limit }
 
 let net t = t.net
 
 let restart_limit t = t.restart_limit
 
-let node_state t node =
-  match Hashtbl.find_opt t.node_states node with
-  | Some state -> state
+let installed t node =
+  match Tandem_sim.Tbl.get t.nodes node None with
+  | Some installed -> installed
   | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
 
-let tmp t node =
-  match Hashtbl.find_opt t.tmps node with
-  | Some tmp -> tmp
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
+let node_state t node = (installed t node).state
 
-let rollforward t node =
-  match Hashtbl.find_opt t.rollforwards node with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
+let tmp t node = (installed t node).tmp
 
-let acceptor t node =
-  match Hashtbl.find_opt t.acceptors node with
-  | Some a -> a
-  | None -> invalid_arg (Printf.sprintf "Tmf: node %d not installed" node)
+let rollforward t node = (installed t node).rollforward
+
+let acceptor t node = (installed t node).acceptor
 
 let install_node t node ~monitor_volume ?tmp_config () =
   let id = Node.id node in
-  if Hashtbl.mem t.node_states id then
+  if Tandem_sim.Tbl.get t.nodes id None <> None then
     invalid_arg "Tmf.install_node: already installed";
   let force_window = (Net.config t.net).Hw_config.group_commit_window in
   let state = Tmf_state.make_node_state ~force_window ~node ~monitor_volume () in
-  Hashtbl.replace t.node_states id state;
   let tmp = Tmp.spawn ~net:t.net ~state ?config:tmp_config ~primary_cpu:0 ~backup_cpu:1 () in
-  Hashtbl.replace t.tmps id tmp;
   Backout.spawn ~net:t.net ~state ~primary_cpu:1 ~backup_cpu:0;
   (* Every node carries an acceptor on its system volume; under the 2PC
      knob it simply never receives a message. Which nodes form the quorum
      set for a given transaction is decided by the proposers
      ({!Paxos_commit.acceptor_nodes}), not here. *)
-  Hashtbl.replace t.acceptors id
-    (Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
-       ~backup_cpu:1 ());
-  Hashtbl.replace t.rollforwards id (Rollforward.create ~net:t.net ~state)
+  let acceptor =
+    Acceptor.spawn ~net:t.net ~state ~volume:monitor_volume ~primary_cpu:0
+      ~backup_cpu:1 ()
+  in
+  let rollforward = Rollforward.create ~net:t.net ~state in
+  t.nodes <- Tandem_sim.Tbl.cover t.nodes id None;
+  t.nodes.(id) <- Some { state; tmp; rollforward; acceptor }
 
 let add_audit_trail t ~node ~name ~volume ?records_per_file () =
   let state = node_state t node in

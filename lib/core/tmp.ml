@@ -1082,7 +1082,14 @@ let handle t process message =
           in
           Rpc.reply t.net ~self:process ~to_:message reply)
   | Remote_begin transid ->
-      let known = Tmf_state.find_tx t.node_state transid <> None in
+      (* A transaction this node has resolved stays resolved: a late remote
+         begin (from a server still working for it) must not register it
+         again, or the new entry's time limit would abort it a second time
+         and re-apply its before-images over later updates. *)
+      let known =
+        Tmf_state.find_tx t.node_state transid <> None
+        || monitor_disposition t transid <> None
+      in
       let reply =
         if known || Transid.home transid = own_node t then Known_reply
         else begin

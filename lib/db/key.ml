@@ -7,12 +7,7 @@ let equal = String.equal
 let min_key = ""
 
 (* [Printf.sprintf "%012d" n] without the format interpreter. *)
-let of_int n =
-  let digits = string_of_int n in
-  let pad = 12 - String.length digits in
-  if pad <= 0 then digits
-  else if n >= 0 then String.make pad '0' ^ digits
-  else "-" ^ String.make pad '0' ^ String.sub digits 1 (11 - pad)
+let of_int n = Record.int_text ~width:12 n
 
 let to_int t = int_of_string_opt t
 

@@ -10,6 +10,11 @@ type fields = (string * string) list
 
 val encode : fields -> string
 
+val int_text : ?width:int -> int -> string
+(** [int_text ~width n] is [Printf.sprintf "%0*d" width n] (default width
+    0: [string_of_int n]) without the C formatter, for the integer fields
+    and keys written on every request. *)
+
 val decode : string -> fields
 (** Inverse of {!encode}; raises [Invalid_argument] on malformed input. *)
 
@@ -24,3 +29,4 @@ val int_field : string -> string -> int option
 
 val size : string -> int
 (** Payload size in bytes (for audit-record accounting). *)
+

@@ -61,17 +61,17 @@ let partition_index def key =
 
 let partition_for def key = List.nth def.partitions (partition_index def key)
 
-type t = { files : (string, file_def) Hashtbl.t }
+type t = { files : file_def Tandem_sim.Tbl.String.t }
 
-let create_dictionary () = { files = Hashtbl.create 16 }
+let create_dictionary () = { files = Tandem_sim.Tbl.String.create 16 }
 
 let add t def =
-  if Hashtbl.mem t.files def.file_name then
+  if Tandem_sim.Tbl.String.mem t.files def.file_name then
     invalid_arg ("Schema.add: duplicate file " ^ def.file_name);
-  Hashtbl.replace t.files def.file_name def
+  Tandem_sim.Tbl.String.replace t.files def.file_name def
 
-let find t name = Hashtbl.find_opt t.files name
+let find t name = Tandem_sim.Tbl.String.find_opt t.files name
 
 let all t =
-  Hashtbl.fold (fun _ def acc -> def :: acc) t.files []
+  Tandem_sim.Tbl.String.fold (fun _ def acc -> def :: acc) t.files []
   |> List.sort (fun a b -> String.compare a.file_name b.file_name)

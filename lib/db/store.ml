@@ -1,10 +1,15 @@
 open Tandem_disk
+module Tbl = Tandem_sim.Tbl
+
+(* The current and on-disc images, indexed by block number (always the same
+   length); [absent], compared physically, marks a block not there. *)
+let absent = Block_content.Entry_segment { base_entry = -1; entries = [||] }
 
 type t = {
   volume : Volume.t;
   cache : Cache.t;
-  current : (int, Block_content.t) Hashtbl.t;
-  mutable disk : (int, Block_content.t) Hashtbl.t;
+  mutable current : Block_content.t array;
+  mutable disk : Block_content.t array;
   mutable next_block : int;
   mutable charging : bool;
 }
@@ -13,8 +18,8 @@ let create volume ~cache_capacity =
   {
     volume;
     cache = Cache.create ~capacity:cache_capacity;
-    current = Hashtbl.create 256;
-    disk = Hashtbl.create 256;
+    current = [||];
+    disk = [||];
     next_block = 0;
     charging = true;
   }
@@ -23,12 +28,19 @@ let volume t = t.volume
 
 let set_charging t flag = t.charging <- flag
 
+let find t block = Tbl.get t.current block absent
+
+let set t block content =
+  t.current <- Tbl.cover t.current block absent;
+  t.disk <- Tbl.cover t.disk block absent;
+  t.current.(block) <- content
+
 let flush_block t block =
-  match Hashtbl.find_opt t.current block with
-  | Some content ->
-      Hashtbl.replace t.disk block content;
-      Cache.clean t.cache block
-  | None -> ()
+  let content = find t block in
+  if content != absent then begin
+    t.disk.(block) <- content;
+    Cache.clean t.cache block
+  end
 
 let handle_eviction t = function
   | Some { Cache.block; dirty } when dirty ->
@@ -57,28 +69,29 @@ let touch_for_write t block =
 let alloc t content =
   let block = t.next_block in
   t.next_block <- t.next_block + 1;
-  Hashtbl.replace t.current block content;
+  set t block content;
   touch_for_write t block;
   block
 
 let read t block =
-  if not (Hashtbl.mem t.current block) then raise Not_found;
+  if find t block == absent then raise Not_found;
   touch_for_read t block;
   (* Fetch after the touch: the physical read may have suspended the fiber,
      and the block may have been rewritten meanwhile. *)
-  match Hashtbl.find_opt t.current block with
-  | Some content -> content
-  | None -> raise Not_found
+  let content = find t block in
+  if content == absent then raise Not_found;
+  content
 
 let write t block content =
-  if not (Hashtbl.mem t.current block) then
-    invalid_arg "Store.write: unallocated block";
-  Hashtbl.replace t.current block content;
+  if find t block == absent then invalid_arg "Store.write: unallocated block";
+  t.current.(block) <- content;
   touch_for_write t block
 
 let free t block =
-  Hashtbl.remove t.current block;
-  Hashtbl.remove t.disk block;
+  if block >= 0 && block < Array.length t.current then begin
+    t.current.(block) <- absent;
+    t.disk.(block) <- absent
+  end;
   Cache.drop t.cache block
 
 let flush_all t =
@@ -91,32 +104,27 @@ let flush_all t =
     (Cache.dirty_blocks t.cache)
 
 let crash t =
-  Hashtbl.reset t.current;
-  Hashtbl.iter (fun block content -> Hashtbl.replace t.current block content)
-    t.disk;
+  t.current <- Array.copy t.disk;
   Cache.clear t.cache
 
 let overwrite_disk_image t =
-  t.disk <- Hashtbl.copy t.current;
+  t.disk <- Array.copy t.current;
   Cache.clear t.cache
-
-let block_count t = Hashtbl.length t.current
-
-let dirty_count t = List.length (Cache.dirty_blocks t.cache)
 
 let cache_hits t = Cache.hits t.cache
 
 let cache_misses t = Cache.misses t.cache
 
+(* Index order is block order. *)
 let snapshot t =
-  Hashtbl.fold (fun block content acc -> (block, content) :: acc) t.current []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  List.filter (fun (_, content) -> content != absent)
+    (List.mapi (fun block content -> (block, content)) (Array.to_list t.current))
 
 let restore t blocks =
-  Hashtbl.reset t.current;
+  Array.fill t.current 0 (Array.length t.current) absent;
   Cache.clear t.cache;
   List.iter
     (fun (block, content) ->
-      Hashtbl.replace t.current block content;
+      set t block content;
       t.next_block <- max t.next_block (block + 1))
     blocks

@@ -45,10 +45,6 @@ val overwrite_disk_image : t -> unit
 (** Make the flushed image equal to the current image without charging I/O —
     used when restoring an archived copy in ROLLFORWARD experiments. *)
 
-val block_count : t -> int
-
-val dirty_count : t -> int
-
 val cache_hits : t -> int
 
 val cache_misses : t -> int

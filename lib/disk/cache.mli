@@ -14,10 +14,6 @@ type block = int
 
 val create : capacity:int -> t
 
-val capacity : t -> int
-
-val resident : t -> int
-
 type eviction = { block : block; dirty : bool }
 
 val touch : t -> block -> [ `Hit | `Miss of eviction option ]

@@ -10,7 +10,7 @@ type t = {
   file_client : File_client.t;
   discprocesses : (Ids.node_id * string, Discprocess.t) Hashtbl.t;
   system_volumes : (Ids.node_id * string, Tandem_disk.Volume.t) Hashtbl.t;
-  server_classes : (string, Server.t) Hashtbl.t;
+  server_classes : Server.t Tbl.String.t;
   mutable tcps : Tcp.t list;
 }
 
@@ -26,7 +26,7 @@ let create ?seed ?config ?restart_limit ?lock_timeout ?tmp_config () =
     file_client = File_client.create ~net ~tmf ~dictionary:dict ?lock_timeout ();
     discprocesses = Hashtbl.create 16;
     system_volumes = Hashtbl.create 16;
-    server_classes = Hashtbl.create 16;
+    server_classes = Tbl.String.create 16;
     tcps = [];
   }
 
@@ -137,27 +137,22 @@ let load_file t ~file records =
         touched
 
 let add_server_class t ~node ~name ~count handler =
-  if Hashtbl.mem t.server_classes name then
+  if Tbl.String.mem t.server_classes name then
     invalid_arg ("Cluster.add_server_class: duplicate " ^ name);
   let server_class =
     Server.create_class ~net:t.net ~files:t.file_client
       ~node:(Net.node t.net node) ~name ~handler ~initial:count ()
   in
-  Hashtbl.replace t.server_classes name server_class;
+  Tbl.String.replace t.server_classes name server_class;
   server_class
 
-let server_class t name = Hashtbl.find_opt t.server_classes name
-
-let lookup_class t name =
-  match Hashtbl.find_opt t.server_classes name with
-  | Some cls -> Some (Server.node_id cls, Server.member_count cls)
-  | None -> None
+let server_class t name = Tbl.String.find_opt t.server_classes name
 
 let add_tcp t ~node ~name ?(primary_cpu = 0) ?(backup_cpu = 1) ~terminals
     ~program () =
   let tcp =
     Tcp.spawn ~net:t.net ~tmf:t.tmf ~node:(Net.node t.net node) ~name
-      ~lookup_class:(lookup_class t) ~primary_cpu ~backup_cpu ~terminals
+      ~lookup_class:(server_class t) ~primary_cpu ~backup_cpu ~terminals
       ~program
   in
   t.tcps <- tcp :: t.tcps;

@@ -1,6 +1,7 @@
 open Tandem_os
 open Tandem_db
 open Dp_protocol
+module Tbl = Tandem_sim.Tbl
 
 type t = {
   net : Net.t;
@@ -10,7 +11,7 @@ type t = {
   trail_name : string;
   volume : Tandem_disk.Volume.t;
   dp_store : Store.t;
-  files : (string, File.t) Hashtbl.t;
+  files : File.t Tbl.String.t;
   locks : Tandem_lock.Lock_table.t;
   audit_buffers : Tandem_audit.Audit_record.image list Tmf.Transid.Tbl.t;
   mutable generation : int;
@@ -22,8 +23,8 @@ type t = {
      lives through at least one full generation — far longer than any path
      retry. A wholesale reset could drop a reply exactly between a failure
      and its retry, re-executing a non-idempotent operation. *)
-  mutable reply_cache : (int, Message.payload) Hashtbl.t;
-  mutable reply_cache_old : (int, Message.payload) Hashtbl.t;
+  mutable reply_cache : Message.payload Tbl.Int.t;
+  mutable reply_cache_old : Message.payload Tbl.Int.t;
   data_mutex : Tandem_sim.Fiber_mutex.t;
       (* Serializes structured-file operations: one multi-block data access
          at a time, as in the real single-threaded DISCPROCESS. Lock-manager
@@ -41,14 +42,14 @@ let store t = t.dp_store
 
 let lock_table t = t.locks
 
-let file t file_name = Hashtbl.find_opt t.files file_name
+let file t file_name = Tbl.String.find_opt t.files file_name
 
 let add_file t def =
   let file_name = def.Schema.file_name in
-  if Hashtbl.mem t.files file_name then
+  if Tbl.String.mem t.files file_name then
     invalid_arg ("Discprocess.add_file: duplicate " ^ file_name);
   let file = File.create t.dp_store def in
-  Hashtbl.replace t.files file_name file;
+  Tbl.String.replace t.files file_name file;
   file
 
 let audit_buffer_depth t =
@@ -92,14 +93,17 @@ let acquire_record t transaction ~cpu ~timeout ~file_name ~key =
         Tandem_lock.Lock_table.Record_lock { file = file_name; key }
       in
       (* A grant can arrive after a queue wait, during which the transaction
-         may have been aborted — its phase two already released every lock
-         it held, so accepting a late grant would strand this one. Re-check
-         the per-processor state table after every grant. *)
+         may have been aborted: re-check the per-processor state table after
+         every grant. The phase-two release on this volume may already have
+         run, so nothing else would free a new lock: free it now. Only that
+         one: the transaction never touched the record under it, while its
+         other locks cover records its backout may not have restored yet. *)
+      let fresh = not (Tandem_lock.Lock_table.holds t.locks ~owner resource) in
       let granted () =
         match Tmf.state_of t.tmf ~node:(node_id t) ~cpu owner with
         | Some Tmf.Tx_state.Active -> Ok ()
         | Some _ | None ->
-            Tandem_lock.Lock_table.release_all t.locks ~owner;
+            if fresh then Tandem_lock.Lock_table.release t.locks ~owner resource;
             Error Tx_rejected
       in
       match Tandem_lock.Lock_table.acquire t.locks ~owner ~timeout resource with
@@ -360,22 +364,22 @@ let handle t process message =
          path-retried operations instead of executing them twice. *)
       Process.spawn_fiber process (fun () ->
           let cached =
-            match Hashtbl.find_opt t.reply_cache op.op_id with
+            match Tbl.Int.find_opt t.reply_cache op.op_id with
             | Some _ as hit -> hit
-            | None -> Hashtbl.find_opt t.reply_cache_old op.op_id
+            | None -> Tbl.Int.find_opt t.reply_cache_old op.op_id
           in
           match cached with
           | Some reply -> respond reply
           | None ->
-              if Hashtbl.length t.reply_cache > 16_384 then begin
+              if Tbl.Int.length t.reply_cache > 16_384 then begin
                 t.reply_cache_old <- t.reply_cache;
-                t.reply_cache <- Hashtbl.create 1024
+                t.reply_cache <- Tbl.Int.create 1024
               end;
               let reply =
                 execute t process ~requester:message.Message.src op
                   message.Message.payload
               in
-              Hashtbl.replace t.reply_cache op.op_id reply;
+              Tbl.Int.replace t.reply_cache op.op_id reply;
               respond reply)
   | Dp_flush_audit transid ->
       Process.spawn_fiber process (fun () ->
@@ -407,14 +411,14 @@ let spawn ~net ~tmf ~node ~volume ~name ~trail ~primary_cpu ~backup_cpu
       trail_name = trail;
       volume;
       dp_store = Store.create volume ~cache_capacity;
-      files = Hashtbl.create 8;
+      files = Tbl.String.create 8;
       locks =
         Tandem_lock.Lock_table.create ~spans:(Net.spans net) (Net.engine net)
           ~metrics:(Net.metrics net) ~name;
       audit_buffers = Tmf.Transid.Tbl.create 32;
       generation = 0;
-      reply_cache = Hashtbl.create 1024;
-      reply_cache_old = Hashtbl.create 1024;
+      reply_cache = Tbl.Int.create 1024;
+      reply_cache_old = Tbl.Int.create 1024;
       data_mutex = Tandem_sim.Fiber_mutex.create ();
       pair = None;
       coalesced =
@@ -480,7 +484,7 @@ let rollforward_target t =
       (fun () ->
         let blocks = Store.snapshot t.dp_store in
         let metadata =
-          Hashtbl.fold (fun _ file acc -> File.snapshot file :: acc) t.files []
+          Tbl.String.fold (fun _ file acc -> File.snapshot file :: acc) t.files []
         in
         fun () ->
           Store.restore t.dp_store blocks;
@@ -522,6 +526,6 @@ let simulate_total_failure t =
   t.generation <- t.generation + 1;
   Store.crash t.dp_store;
   Tmf.Transid.Tbl.reset t.audit_buffers;
-  Hashtbl.reset t.reply_cache;
-  Hashtbl.reset t.reply_cache_old;
+  Tbl.Int.reset t.reply_cache;
+  Tbl.Int.reset t.reply_cache_old;
   Tandem_lock.Lock_table.reset t.locks

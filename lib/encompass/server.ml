@@ -81,8 +81,6 @@ let create_class ~net ~files ~node ~name ~handler ~initial () =
 
 let class_name t = t.name
 
-let node_id t = Node.id t.node
-
 let member_count t = Array.length t.members
 
 let set_members t target =
@@ -150,9 +148,10 @@ let enable_autoscale t ~min_members ~max_members
 
 (* ------------------------------------------------------------------ *)
 
-let send net ~self ~tmf ?transid ~node ~class_name ~members body =
-  if members < 1 then Error (Rejected "empty server class")
+let send net ~self ~tmf ?transid t body =
+  if Array.length t.members < 1 then Error (Rejected "empty server class")
   else begin
+    let node = Node.id t.node in
     let from_node = (Process.pid self).Ids.node in
     let propagate =
       match transid with
@@ -165,14 +164,20 @@ let send net ~self ~tmf ?transid ~node ~class_name ~members body =
     match propagate with
     | Error _ as e -> e
     | Ok () -> (
-        let member = Net.fresh_corr net mod members in
+        (* Propagation can suspend while the class shrinks: pick the member
+           only now. A member process is named for its slot, so its name is
+           the class's member name: no per-request formatting. *)
+        let members = Array.length t.members in
+        if members < 1 then Error (Transient "server class emptied")
+        else
+        let member = t.members.(Net.fresh_corr net mod members) in
         let payload = Server_request { transid; body } in
         match
           (* No transparent retry: a server request is not idempotent, so a
              lost reply must surface as a transient failure and be cured by
              RESTART-TRANSACTION, never by silent re-execution. *)
           Rpc.call_name net ~self ~node
-            ~name:(Printf.sprintf "%s-%d" class_name member)
+            ~name:(Process.name member)
             ~timeout:(Tandem_sim.Sim_time.seconds 30) ~retries:0 payload
         with
         | Ok (Server_reply result) -> result

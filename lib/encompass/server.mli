@@ -43,8 +43,6 @@ val create_class :
 
 val class_name : t -> string
 
-val node_id : t -> Tandem_os.Ids.node_id
-
 val member_count : t -> int
 
 val set_members : t -> int -> unit
@@ -75,9 +73,7 @@ val send :
   self:Tandem_os.Process.t ->
   tmf:Tmf.t ->
   ?transid:Tmf.Transid.t ->
-  node:Tandem_os.Ids.node_id ->
-  class_name:string ->
-  members:int ->
+  t ->
   string ->
   (string, server_error) result
 (** The SEND verb's transport: propagate the transid to the server's node,

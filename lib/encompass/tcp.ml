@@ -20,7 +20,7 @@ type t = {
   tmf : Tmf.t;
   node : Node.t;
   tcp_name : string;
-  lookup_class : string -> (Ids.node_id * int) option;
+  lookup_class : string -> Server.t option;
   program : Screen_program.t;
   terminals : terminal array;
   backoff_rng : Rng.t;
@@ -128,11 +128,10 @@ let execute t term process input =
           (fun ~server_class body ->
             match t.lookup_class server_class with
             | None -> raise (Abort_program ("unknown server class " ^ server_class))
-            | Some (node, members) -> (
+            | Some cls -> (
                 match
                   Server.send t.net ~self:process ~tmf:t.tmf
-                    ?transid:!transaction ~node ~class_name:server_class
-                    ~members body
+                    ?transid:!transaction cls body
                 with
                 | Ok reply -> reply
                 | Error (Server.Transient reason) ->

@@ -14,14 +14,14 @@ val spawn :
   tmf:Tmf.t ->
   node:Tandem_os.Node.t ->
   name:string ->
-  lookup_class:(string -> (Tandem_os.Ids.node_id * int) option) ->
+  lookup_class:(string -> Server.t option) ->
   primary_cpu:Tandem_os.Ids.cpu_id ->
   backup_cpu:Tandem_os.Ids.cpu_id ->
   terminals:int ->
   program:Screen_program.t ->
   t
-(** [lookup_class] resolves a server-class name to its node and size (the
-    cluster provides it). [terminals] must be 1..32. *)
+(** [lookup_class] resolves a server-class name (the cluster provides
+    it). [terminals] must be 1..32. *)
 
 val name : t -> string
 

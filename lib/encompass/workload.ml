@@ -19,7 +19,7 @@ let branch_file = "BRANCH"
 let history_file = "HISTORY"
 
 let balance_payload balance =
-  Record.encode [ ("balance", string_of_int balance) ]
+  Record.encode [ ("balance", Record.int_text balance) ]
 
 let install_bank cluster spec =
   if spec.account_partitions = [] then
@@ -84,7 +84,7 @@ let add_to_balance ctx ~file ~key delta =
       let balance =
         Option.value ~default:0 (Record.int_field payload "balance")
       in
-      let updated = Record.set_field payload "balance" (string_of_int (balance + delta)) in
+      let updated = Record.set_field payload "balance" (Record.int_text (balance + delta)) in
       match File_client.update files ~self ?transid ~file key updated with
       | Ok () -> Ok (balance + delta)
       | Error e -> Error (Server.map_file_error e))
@@ -112,8 +112,8 @@ let bank_handler_for ~history_file:history_file_param ctx body =
                   let history =
                     Record.encode
                       [
-                        ("account", string_of_int account);
-                        ("delta", string_of_int delta);
+                        ("account", Record.int_text account);
+                        ("delta", Record.int_text delta);
                       ]
                   in
                   match
@@ -123,7 +123,7 @@ let bank_handler_for ~history_file:history_file_param ctx body =
                       history
                   with
                   | Ok _ ->
-                      Ok (Record.encode [ ("balance", string_of_int new_balance) ])
+                      Ok (Record.encode [ ("balance", Record.int_text new_balance) ])
                   | Error e -> Error (Server.map_file_error e)))))
   | _ -> Error (Server.Rejected "malformed debit-credit request")
 
@@ -143,7 +143,7 @@ let inquiry_handler ctx body =
           let balance =
             Option.value ~default:0 (Record.int_field payload "balance")
           in
-          Ok (Record.encode [ ("balance", string_of_int balance) ]))
+          Ok (Record.encode [ ("balance", Record.int_text balance) ]))
   | None -> Error (Server.Rejected "malformed balance inquiry")
 
 let transfer_handler ctx body =
@@ -164,7 +164,7 @@ let transfer_handler ctx body =
               amount
           with
           | Error _ as e -> e
-          | Ok _ -> Ok (Record.encode [ ("moved", string_of_int amount) ])))
+          | Ok _ -> Ok (Record.encode [ ("moved", Record.int_text amount) ])))
   | _ -> Error (Server.Rejected "malformed transfer request")
 
 (* Server-class names are global to the cluster, so a multi-node
@@ -221,7 +221,7 @@ let order_handler ctx body =
             File_client.insert files ~self ?transid ~file:order_file
               (Key.of_int order) payload
           with
-          | Ok () -> Ok (Record.encode [ ("order", string_of_int order) ])
+          | Ok () -> Ok (Record.encode [ ("order", Record.int_text order) ])
           | Error e -> Error (Server.map_file_error e))
       | _ -> Error (Server.Rejected "malformed new-order request"))
   | Some "query" -> (
@@ -232,7 +232,7 @@ let order_handler ctx body =
               ~index:customer_index customer
           with
           | Ok keys ->
-              Ok (Record.encode [ ("count", string_of_int (List.length keys)) ])
+              Ok (Record.encode [ ("count", Record.int_text (List.length keys)) ])
           | Error e -> Error (Server.map_file_error e))
       | None -> Error (Server.Rejected "malformed query"))
   | Some _ | None -> Error (Server.Rejected "unknown order request kind")
@@ -248,13 +248,13 @@ let new_order_input ~order ~customer ~item =
   Record.encode
     [
       ("kind", "new");
-      ("order", string_of_int order);
-      ("customer", string_of_int customer);
-      ("item", string_of_int item);
+      ("order", Record.int_text order);
+      ("customer", Record.int_text customer);
+      ("item", Record.int_text item);
     ]
 
 let customer_query_input ~customer =
-  Record.encode [ ("kind", "query"); ("customer", string_of_int customer) ]
+  Record.encode [ ("kind", "query"); ("customer", Record.int_text customer) ]
 
 (* ------------------------------------------------------------------ *)
 (* Screen programs and input generators *)
@@ -288,24 +288,24 @@ let balance_inquiry_program =
 
 let balance_inquiry_input rng spec ?(skew = 0.0) () =
   Record.encode
-    [ ("account", string_of_int (Rng.zipf rng ~n:spec.accounts ~theta:skew)) ]
+    [ ("account", Record.int_text (Rng.zipf rng ~n:spec.accounts ~theta:skew)) ]
 
 let debit_credit_input rng spec ?(skew = 0.0) () =
   let account = Rng.zipf rng ~n:spec.accounts ~theta:skew in
   Record.encode
     [
-      ("account", string_of_int account);
-      ("teller", string_of_int (Rng.int rng spec.tellers));
-      ("branch", string_of_int (Rng.int rng spec.branches));
-      ("delta", string_of_int (Rng.int_in_range rng ~lo:(-100) ~hi:100));
+      ("account", Record.int_text account);
+      ("teller", Record.int_text (Rng.int rng spec.tellers));
+      ("branch", Record.int_text (Rng.int rng spec.branches));
+      ("delta", Record.int_text (Rng.int_in_range rng ~lo:(-100) ~hi:100));
     ]
 
 let transfer_input_between ~from_account ~to_account ~amount =
   Record.encode
     [
-      ("from", string_of_int from_account);
-      ("to", string_of_int to_account);
-      ("amount", string_of_int amount);
+      ("from", Record.int_text from_account);
+      ("to", Record.int_text to_account);
+      ("amount", Record.int_text amount);
     ]
 
 let transfer_input rng spec ?(skew = 0.0) () =
@@ -376,7 +376,7 @@ let orders_for_customer cluster ~home ~customer =
       uncharged dp (fun () ->
           List.length
             (File.lookup_index file ~index:customer_index
-               (string_of_int customer)))
+               (Record.int_text customer)))
 
 let history_count cluster spec =
   let node, volume = spec.system_home in

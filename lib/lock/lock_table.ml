@@ -22,7 +22,7 @@ type waiter = {
 
 type file_state = {
   mutable file_owner : Transid.t option;
-  mutable record_owners : (string, Transid.t) Hashtbl.t; (* key -> owner *)
+  mutable record_owners : Transid.t Tbl.String.t; (* key -> owner *)
 }
 
 (* Grantability only ever changes when a lock in the SAME file is released
@@ -34,9 +34,9 @@ type t = {
   engine : Engine.t;
   spans : Span.t option;
   table_name : string;
-  files : (string, file_state) Hashtbl.t;
+  files : file_state Tbl.String.t;
   owner_index : (resource, unit) Hashtbl.t Transid.Tbl.t;
-  wait_queues : (string, waiter Queue.t) Hashtbl.t; (* file -> FIFO *)
+  wait_queues : waiter Queue.t Tbl.String.t; (* file -> FIFO *)
   mutable waiting : int; (* pending waiters across all queues *)
   requests : Metrics.counter Lazy.t;
   waits : Metrics.counter Lazy.t;
@@ -52,9 +52,9 @@ let create ?spans engine ~metrics ~name =
     engine;
     spans;
     table_name = name;
-    files = Hashtbl.create 32;
+    files = Tbl.String.create 32;
     owner_index = Transid.Tbl.create 32;
-    wait_queues = Hashtbl.create 8;
+    wait_queues = Tbl.String.create 8;
     waiting = 0;
     requests = counter "requests";
     waits = counter "waits";
@@ -64,15 +64,15 @@ let create ?spans engine ~metrics ~name =
   }
 
 let file_state t file =
-  match Hashtbl.find_opt t.files file with
+  match Tbl.String.find_opt t.files file with
   | Some state -> state
   | None ->
-      let state = { file_owner = None; record_owners = Hashtbl.create 16 } in
-      Hashtbl.replace t.files file state;
+      let state = { file_owner = None; record_owners = Tbl.String.create 16 } in
+      Tbl.String.replace t.files file state;
       state
 
 let other_record_owners state ~owner =
-  Hashtbl.fold
+  Tbl.String.fold
     (fun _ record_owner found ->
       found || not (Transid.equal record_owner owner))
     state.record_owners false
@@ -84,7 +84,7 @@ let grantable t ~owner resource =
       match state.file_owner with
       | Some file_owner when not (Transid.equal file_owner owner) -> false
       | Some _ | None -> (
-          match Hashtbl.find_opt state.record_owners key with
+          match Tbl.String.find_opt state.record_owners key with
           | Some record_owner -> Transid.equal record_owner owner
           | None -> true))
   | File_lock file ->
@@ -110,8 +110,8 @@ let grant t ~owner resource =
   | Record_lock { file; key } ->
       let state = file_state t file in
       (* A file-lock holder's record access is already covered. *)
-      if not (Hashtbl.mem state.record_owners key) then begin
-        Hashtbl.replace state.record_owners key owner;
+      if not (Tbl.String.mem state.record_owners key) then begin
+        Tbl.String.replace state.record_owners key owner;
         note_granted t ~owner resource
       end
   | File_lock file ->
@@ -126,7 +126,7 @@ let grant t ~owner resource =
 let wake_grantable t files =
   List.iter
     (fun file ->
-      match Hashtbl.find_opt t.wait_queues file with
+      match Tbl.String.find_opt t.wait_queues file with
       | None -> ()
       | Some queue ->
           let passes = Queue.length queue in
@@ -151,17 +151,17 @@ let wake_grantable t files =
                 end
                 else Queue.add waiter queue
           done;
-          if Queue.is_empty queue then Hashtbl.remove t.wait_queues file)
+          if Queue.is_empty queue then Tbl.String.remove t.wait_queues file)
     files
 
 let enqueue_waiter t waiter =
   let file = file_of_resource waiter.resource in
   let queue =
-    match Hashtbl.find_opt t.wait_queues file with
+    match Tbl.String.find_opt t.wait_queues file with
     | Some queue -> queue
     | None ->
         let queue = Queue.create () in
-        Hashtbl.replace t.wait_queues file queue;
+        Tbl.String.replace t.wait_queues file queue;
         queue
   in
   Queue.add waiter queue;
@@ -202,43 +202,55 @@ let try_acquire t ~owner resource =
   end
   else false
 
+(* Free [resource] if [owner] holds it; the caller wakes the waiters. *)
+let drop t ~owner resource =
+  let state = file_state t (file_of_resource resource) in
+  match resource with
+  | File_lock _ -> (
+      match state.file_owner with
+      | Some file_owner when Transid.equal file_owner owner ->
+          state.file_owner <- None
+      | Some _ | None -> ())
+  | Record_lock { key; _ } -> (
+      match Tbl.String.find_opt state.record_owners key with
+      | Some record_owner when Transid.equal record_owner owner ->
+          Tbl.String.remove state.record_owners key
+      | Some _ | None -> ())
+
 let release_all t ~owner =
   (match Transid.Tbl.find_opt t.owner_index owner with
   | None -> ()
   | Some held ->
       Transid.Tbl.remove t.owner_index owner;
-      let touched = Hashtbl.create 8 in
+      let touched = Tbl.String.create 8 in
       Hashtbl.iter
         (fun resource () ->
-          let file = file_of_resource resource in
-          Hashtbl.replace touched file ();
-          match resource with
-          | File_lock _ -> (
-              let state = file_state t file in
-              match state.file_owner with
-              | Some file_owner when Transid.equal file_owner owner ->
-                  state.file_owner <- None
-              | Some _ | None -> ())
-          | Record_lock { key; _ } -> (
-              let state = file_state t file in
-              match Hashtbl.find_opt state.record_owners key with
-              | Some record_owner when Transid.equal record_owner owner ->
-                  Hashtbl.remove state.record_owners key
-              | Some _ | None -> ()))
+          Tbl.String.replace touched (file_of_resource resource) ();
+          drop t ~owner resource)
         held;
-      wake_grantable t (Hashtbl.fold (fun file () acc -> file :: acc) touched []));
+      wake_grantable t (Tbl.String.fold (fun file () acc -> file :: acc) touched []));
   Metrics.incr (Lazy.force t.releases)
+
+let release t ~owner resource =
+  match Transid.Tbl.find_opt t.owner_index owner with
+  | Some held when Hashtbl.mem held resource ->
+      Hashtbl.remove held resource;
+      if Hashtbl.length held = 0 then Transid.Tbl.remove t.owner_index owner;
+      drop t ~owner resource;
+      wake_grantable t [ file_of_resource resource ];
+      Metrics.incr (Lazy.force t.releases)
+  | Some _ | None -> ()
 
 let holder t resource =
   match resource with
   | File_lock file -> (
-      match Hashtbl.find_opt t.files file with
+      match Tbl.String.find_opt t.files file with
       | Some state -> state.file_owner
       | None -> None)
   | Record_lock { file; key } -> (
-      match Hashtbl.find_opt t.files file with
+      match Tbl.String.find_opt t.files file with
       | Some state -> (
-          match Hashtbl.find_opt state.record_owners key with
+          match Tbl.String.find_opt state.record_owners key with
           | Some _ as direct -> direct
           | None -> state.file_owner)
       | None -> None)
@@ -254,19 +266,19 @@ let locks_of t ~owner =
   | Some held -> Hashtbl.fold (fun resource () acc -> resource :: acc) held []
 
 let locked_count t =
-  Hashtbl.fold
+  Tbl.String.fold
     (fun _ state acc ->
       acc
       + (match state.file_owner with Some _ -> 1 | None -> 0)
-      + Hashtbl.length state.record_owners)
+      + Tbl.String.length state.record_owners)
     t.files 0
 
 let waiting_count t = t.waiting
 
 let reset t =
-  Hashtbl.reset t.files;
+  Tbl.String.reset t.files;
   Transid.Tbl.reset t.owner_index;
-  Hashtbl.iter
+  Tbl.String.iter
     (fun _ queue ->
       Queue.iter
         (fun waiter ->
@@ -276,5 +288,5 @@ let reset t =
           end)
         queue)
     t.wait_queues;
-  Hashtbl.reset t.wait_queues;
+  Tbl.String.reset t.wait_queues;
   t.waiting <- 0

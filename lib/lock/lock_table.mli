@@ -51,6 +51,10 @@ val release_all : t -> owner:Tandem_sim.Transid.t -> unit
 (** Release every lock the owner holds and wake newly-grantable waiters —
     the phase-two / post-backout unlock. *)
 
+val release : t -> owner:Tandem_sim.Transid.t -> resource -> unit
+(** Release one lock the owner holds, if it holds it, and wake
+    newly-grantable waiters: for a grant the owner can no longer use. *)
+
 val holder : t -> resource -> Tandem_sim.Transid.t option
 
 val holds : t -> owner:Tandem_sim.Transid.t -> resource -> bool

@@ -45,13 +45,14 @@ let deliver t process entry_key entry =
       in
       let outcome =
         match
-          Server.send (Cluster.net t.cluster) ~self:process ~tmf ~transid
-            ~node:target
-            ~class_name:(t.apply_class target)
-            ~members:1 apply_request
+          Option.map
+            (fun apply ->
+              Server.send (Cluster.net t.cluster) ~self:process ~tmf ~transid
+                apply apply_request)
+            (Cluster.server_class t.cluster (t.apply_class target))
         with
-        | Error _ -> `Failed
-        | Ok _ -> (
+        | None | Some (Error _) -> `Failed
+        | Some (Ok _) -> (
             match
               File_client.delete (Cluster.files t.cluster) ~self:process
                 ~transid ~file:t.suspense_file entry_key

@@ -26,11 +26,14 @@ type t = {
   metrics : Metrics.t;
   spans : Span.t;
   workload_rng : Rng.t;
-  node_table : (Ids.node_id, Node.t) Hashtbl.t;
+  (* Indexed by node id, covering every id given to [add_node] or
+     [add_link]; the matrices by [(src).(dst)]. A route cell is [None]
+     until computed. *)
+  mutable node_table : Node.t option array;
   mutable links : link list;
-  mutable route_cache : (Ids.node_id * Ids.node_id, (int * Sim_time.span) option) Hashtbl.t;
-  lanes : (Ids.node_id * Ids.node_id, lane) Hashtbl.t;
-  node_msg_counters : (Ids.node_id, Metrics.counter) Hashtbl.t;
+  mutable route_cache : (int * Sim_time.span) option option array array;
+  mutable lanes : lane option array array;
+  mutable node_msg_counters : Metrics.counter option array;
   (* Pre-resolved handles for the per-message fast path: one registry
      lookup at net creation instead of a string hash per send. *)
   c_msgs_sent : Metrics.counter;
@@ -51,11 +54,11 @@ let create ?(seed = 42) ?(config = Hw_config.default) ?(echo_trace = false) () =
     metrics;
     spans = Span.create engine;
     workload_rng = Rng.split (Engine.rng engine);
-    node_table = Hashtbl.create 8;
+    node_table = [||];
     links = [];
-    route_cache = Hashtbl.create 16;
-    lanes = Hashtbl.create 16;
-    node_msg_counters = Hashtbl.create 8;
+    route_cache = [||];
+    lanes = [||];
+    node_msg_counters = [||];
     c_msgs_sent = Metrics.counter metrics "net.msgs_sent";
     c_hops = Metrics.counter metrics "net.hops";
     c_retransmits = Metrics.counter metrics "net.retransmits";
@@ -78,23 +81,36 @@ let spans t = t.spans
 
 let rng t = t.workload_rng
 
-let invalidate_routes t = Hashtbl.reset t.route_cache
+let invalidate_routes t =
+  let dim = Array.length t.node_table in
+  t.route_cache <- Array.make_matrix dim dim None
+
+let known t id = id >= 0 && id < Array.length t.node_table
+
+let cover_id t id =
+  if id < 0 then invalid_arg "Net: negative node id";
+  t.node_table <- Tbl.cover t.node_table id None;
+  t.node_msg_counters <- Tbl.cover t.node_msg_counters id None;
+  let dim = Array.length t.node_table in
+  t.lanes <- Array.init dim (fun i -> Tbl.cover (Tbl.get t.lanes i [||]) (dim - 1) None)
+
+let find_node t id = Tbl.get t.node_table id None
 
 let add_node t ~id ~cpus =
-  if Hashtbl.mem t.node_table id then invalid_arg "Net.add_node: duplicate id";
+  if find_node t id <> None then invalid_arg "Net.add_node: duplicate id";
   let node =
     Node.create ~engine:t.engine ~trace:t.trace ~metrics:t.metrics
       ~config:t.config ~id ~cpus
   in
-  Hashtbl.replace t.node_table id node;
+  cover_id t id;
+  t.node_table.(id) <- Some node;
   invalidate_routes t;
   node
 
-let node t id = Hashtbl.find t.node_table id
+let node t id =
+  match find_node t id with Some node -> node | None -> raise Not_found
 
-let nodes t =
-  Hashtbl.fold (fun _ node acc -> node :: acc) t.node_table []
-  |> List.sort (fun a b -> Int.compare (Node.id a) (Node.id b))
+let nodes t = List.filter_map Fun.id (Array.to_list t.node_table)
 
 let add_link ?latency t a b =
   let latency =
@@ -103,6 +119,7 @@ let add_link ?latency t a b =
     | None -> t.config.Hw_config.network_latency
   in
   if a = b then invalid_arg "Net.add_link: self link";
+  cover_id t (max a b);
   t.links <-
     { node_a = a; node_b = b; nominal_latency = latency; latency; up = true }
     :: t.links;
@@ -170,85 +187,65 @@ let heal_partition t =
   invalidate_routes t;
   Trace.emit t.trace "net" "all links restored"
 
-(* Dijkstra over up links, weighted by latency; ties by hop count. The
-   adjacency table is built once per computation (the link list is only
-   walked once, not once per visited node) and the frontier is the shared
-   binary heap with lazy deletion, so a computation is O(E log E) instead
-   of the old O(V·E) neighbour scans under an O(V²) [Hashtbl.fold]
-   frontier. *)
+(* Dijkstra over up links, weighted by latency; ties by hop count. Node
+   ids are dense and few, so the distances live in arrays indexed by id and
+   the next node to settle is found by a scan. An id outside the tables has
+   no link, so only its self-route exists. *)
 let compute_route t src dst =
   if src = dst then Some (0, 0)
+  else if not (known t src && known t dst) then None
   else begin
-    let adjacency : (Ids.node_id, (Ids.node_id * Sim_time.span) list) Hashtbl.t
-        =
-      Hashtbl.create 16
+    let n = Array.length t.node_table in
+    let latency = Array.make n max_int and hops = Array.make n max_int in
+    let settled = Array.make n false in
+    latency.(src) <- 0;
+    hops.(src) <- 0;
+    let closer a b =
+      latency.(a) < latency.(b) || (latency.(a) = latency.(b) && hops.(a) < hops.(b))
     in
-    let add_edge a b latency =
-      let existing =
-        Option.value ~default:[] (Hashtbl.find_opt adjacency a)
-      in
-      Hashtbl.replace adjacency a ((b, latency) :: existing)
-    in
-    List.iter
-      (fun link ->
-        if link.up then begin
-          add_edge link.node_a link.node_b link.latency;
-          add_edge link.node_b link.node_a link.latency
-        end)
-      t.links;
-    let dist : (Ids.node_id, Sim_time.span * int) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let frontier =
-      Heap.create ~cmp:(fun (d1, h1, _) (d2, h2, _) ->
-          if d1 <> d2 then Int.compare d1 d2 else Int.compare h1 h2)
-    in
-    Hashtbl.replace dist src (0, 0);
-    Heap.add frontier (0, 0, src);
-    let visited = Hashtbl.create 16 in
-    let rec next_unvisited () =
-      match Heap.pop frontier with
-      | None -> None
-      | Some (d, hops, n) ->
-          if Hashtbl.mem visited n then next_unvisited ()
-          else begin
-            Hashtbl.replace visited n ();
-            if n = dst then Some (hops, d)
-            else begin
-              List.iter
-                (fun (m, latency) ->
-                  if not (Hashtbl.mem visited m) then begin
-                    let candidate = (d + latency, hops + 1) in
-                    match Hashtbl.find_opt dist m with
-                    | Some (existing_d, existing_h)
-                      when existing_d < d + latency
-                           || (existing_d = d + latency
-                              && existing_h <= hops + 1) ->
-                        ()
-                    | Some _ | None ->
-                        Hashtbl.replace dist m candidate;
-                        Heap.add frontier (d + latency, hops + 1, m)
-                  end)
-                (Option.value ~default:[] (Hashtbl.find_opt adjacency n));
-              next_unvisited ()
-            end
+    let rec settle () =
+      let next = ref (-1) in
+      for i = 0 to n - 1 do
+        if (not settled.(i)) && latency.(i) < max_int && (!next < 0 || closer i !next)
+        then next := i
+      done;
+      let u = !next in
+      if u < 0 then None
+      else if u = dst then Some (hops.(u), latency.(u))
+      else begin
+        settled.(u) <- true;
+        let relax v link_latency =
+          let l = latency.(u) + link_latency and h = hops.(u) + 1 in
+          if l < latency.(v) || (l = latency.(v) && h < hops.(v)) then begin
+            latency.(v) <- l;
+            hops.(v) <- h
           end
+        in
+        List.iter
+          (fun link ->
+            if link.up && link.node_a = u then relax link.node_b link.latency
+            else if link.up && link.node_b = u then relax link.node_a link.latency)
+          t.links;
+        settle ()
+      end
     in
-    next_unvisited ()
+    settle ()
   end
 
 let route t src dst =
-  match Hashtbl.find_opt t.route_cache (src, dst) with
-  | Some cached -> cached
-  | None ->
-      let result = compute_route t src dst in
-      Hashtbl.replace t.route_cache (src, dst) result;
-      result
+  if not (known t src && known t dst) then compute_route t src dst
+  else
+    match t.route_cache.(src).(dst) with
+    | Some cached -> cached
+    | None ->
+        let result = compute_route t src dst in
+        t.route_cache.(src).(dst) <- Some result;
+        result
 
 let reachable t src dst = Option.is_some (route t src dst)
 
 let deliver_at_destination t (message : Message.t) =
-  match Hashtbl.find_opt t.node_table message.Message.dst.Ids.node with
+  match find_node t message.Message.dst.Ids.node with
   | None -> Metrics.incr (Metrics.counter t.metrics "net.msgs_dropped_no_node")
   | Some node -> (
       match Node.find_process node message.Message.dst with
@@ -258,21 +255,21 @@ let deliver_at_destination t (message : Message.t) =
           Metrics.incr (Metrics.counter t.metrics "os.msgs_dropped_dead"))
 
 (* Per-destination counter handles are cached in the net state so the hot
-   send path never re-renders the canonical labeled name. *)
+   send path never re-renders the canonical labeled name. Both lookups
+   below follow a successful route, so both ids are in the tables. *)
 let node_msg_counter t dst_node =
-  match Hashtbl.find_opt t.node_msg_counters dst_node with
+  match t.node_msg_counters.(dst_node) with
   | Some counter -> counter
   | None ->
       let counter =
         Metrics.counter_with t.metrics "net.node_msgs"
           ~labels:[ ("dst", string_of_int dst_node) ]
       in
-      Hashtbl.replace t.node_msg_counters dst_node counter;
+      t.node_msg_counters.(dst_node) <- Some counter;
       counter
 
 let lane_for t src_node dst_node =
-  let key = (src_node, dst_node) in
-  match Hashtbl.find_opt t.lanes key with
+  match t.lanes.(src_node).(dst_node) with
   | Some lane -> lane
   | None ->
       let lane =
@@ -283,7 +280,7 @@ let lane_for t src_node dst_node =
           last_arrival = Sim_time.zero;
         }
       in
-      Hashtbl.replace t.lanes key lane;
+      t.lanes.(src_node).(dst_node) <- Some lane;
       lane
 
 (* Close the lane's boxcar: every message collected during the window shares
@@ -320,7 +317,7 @@ let depart_boxcar t lane =
 let send t (message : Message.t) =
   let src = message.Message.src and dst = message.Message.dst in
   if src.Ids.node = dst.Ids.node then
-    match Hashtbl.find_opt t.node_table src.Ids.node with
+    match find_node t src.Ids.node with
     | None -> invalid_arg "Net.send: unknown source node"
     | Some node -> Node.deliver_local node message
   else begin

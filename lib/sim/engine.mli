@@ -2,10 +2,10 @@
 
     A single engine instance drives one simulated Tandem network: it owns the
     virtual clock and the event queue. Components schedule closures to run at
-    future instants; [run] executes them in timestamp order (FIFO among equal
-    timestamps), advancing the clock discontinuously. Nothing in the
-    simulation may consult wall-clock time — determinism is the foundation of
-    every experiment. *)
+    the current or a future instant; [run] executes them in timestamp order
+    (FIFO among equal timestamps, i.e. in scheduling order), advancing the
+    clock discontinuously. Nothing in the simulation may consult wall-clock
+    time — determinism is the foundation of every experiment. *)
 
 type t
 
@@ -46,9 +46,10 @@ val post_after : t -> Sim_time.span -> (unit -> unit) -> unit
 
 val cancel : handle -> unit
 (** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op. Cancelled events are tombstoned and reclaimed in bulk once they
-    outnumber live events, so mass cancellation stays amortized O(1) per
-    event and the heap stays O(live). *)
+    no-op. Cancelled events are tombstoned, reaped when they reach the front
+    of the queue, and purged from the heap in bulk once they outnumber live
+    events, so mass cancellation stays amortized O(1) per event and the heap
+    stays O(live). *)
 
 val run : ?until:Sim_time.t -> t -> unit
 (** [run t] executes events until the queue is empty, or — with [until] —
@@ -59,7 +60,8 @@ val run_for : t -> Sim_time.span -> unit
 (** [run_for t span] is [run t ~until:(now t + span)]. *)
 
 val step : t -> bool
-(** Execute the single next event. [false] if the queue was empty. *)
+(** Execute the single next live event, reaping any cancelled ones ahead
+    of it. [false] if no live event was pending. *)
 
 val pending : t -> int
 (** Number of live events waiting. Cancelled-but-unreaped tombstones are

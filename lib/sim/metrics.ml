@@ -21,17 +21,17 @@ type metric =
   | Sample of sample
   | Histogram of histogram
 
-type t = { table : (string, metric) Hashtbl.t }
+type t = { table : metric Tbl.String.t }
 
-let create () = { table = Hashtbl.create 64 }
+let create () = { table = Tbl.String.create 64 }
 
 let counter t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Counter c) -> c
   | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
   | None ->
       let c = { count = 0 } in
-      Hashtbl.replace t.table name (Counter c);
+      Tbl.String.replace t.table name (Counter c);
       c
 
 let incr c = c.count <- c.count + 1
@@ -41,7 +41,7 @@ let add c n = c.count <- c.count + n
 let counter_value c = c.count
 
 let read_counter t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Counter c) -> c.count
   | Some _ -> invalid_arg ("Metrics.read_counter: " ^ name ^ " is not a counter")
   | None -> 0
@@ -73,20 +73,20 @@ type counter_family = {
   f_metrics : t;
   f_name : string;
   f_label : string;
-  f_cache : (string, counter) Hashtbl.t;
+  f_cache : counter Tbl.String.t;
 }
 
 let counter_family t ~name ~label =
-  { f_metrics = t; f_name = name; f_label = label; f_cache = Hashtbl.create 8 }
+  { f_metrics = t; f_name = name; f_label = label; f_cache = Tbl.String.create 8 }
 
 let family_counter f value =
-  match Hashtbl.find_opt f.f_cache value with
+  match Tbl.String.find_opt f.f_cache value with
   | Some c -> c
   | None ->
       let c =
         counter_with f.f_metrics f.f_name ~labels:[ (f.f_label, value) ]
       in
-      Hashtbl.replace f.f_cache value c;
+      Tbl.String.replace f.f_cache value c;
       c
 
 let sum_counters t name =
@@ -95,7 +95,7 @@ let sum_counters t name =
     String.length s >= String.length prefix
     && String.sub s 0 (String.length prefix) = prefix
   in
-  Hashtbl.fold
+  Tbl.String.fold
     (fun key metric acc ->
       match metric with
       | Counter c when key = name || is_prefix key -> acc + c.count
@@ -103,24 +103,24 @@ let sum_counters t name =
     t.table 0
 
 let set_gauge t name v =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Gauge g) -> g := v
   | Some _ -> invalid_arg ("Metrics.set_gauge: " ^ name ^ " is not a gauge")
-  | None -> Hashtbl.replace t.table name (Gauge (ref v))
+  | None -> Tbl.String.replace t.table name (Gauge (ref v))
 
 let read_gauge t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Gauge g) -> !g
   | Some _ -> invalid_arg ("Metrics.read_gauge: " ^ name ^ " is not a gauge")
   | None -> 0
 
 let sample t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Sample s) -> s
   | Some _ -> invalid_arg ("Metrics.sample: " ^ name ^ " is not a sample")
   | None ->
       let s = { values = [||]; used = 0; sorted = true } in
-      Hashtbl.replace t.table name (Sample s);
+      Tbl.String.replace t.table name (Sample s);
       s
 
 let observe s v =
@@ -206,12 +206,12 @@ let make_histogram bounds =
   }
 
 let histogram ?(bounds = default_latency_bounds_ms) t name =
-  match Hashtbl.find_opt t.table name with
+  match Tbl.String.find_opt t.table name with
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
   | None ->
       let h = make_histogram bounds in
-      Hashtbl.replace t.table name (Histogram h);
+      Tbl.String.replace t.table name (Histogram h);
       h
 
 let read_histogram t name = histogram t name
@@ -302,13 +302,13 @@ let merge_histogram ~(into : histogram) (src : histogram) =
 
 let merge ~into src =
   let src_names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) src.table []
+    Tbl.String.fold (fun name _ acc -> name :: acc) src.table []
     |> List.sort String.compare
   in
   List.iter
     (fun name ->
-      let metric = Hashtbl.find src.table name in
-      match (Hashtbl.find_opt into.table name, metric) with
+      let metric = Tbl.String.find src.table name in
+      match (Tbl.String.find_opt into.table name, metric) with
       | None, Counter c -> add (counter into name) c.count
       | None, Gauge g -> set_gauge into name !g
       | None, Sample s ->
@@ -333,14 +333,14 @@ let merge ~into src =
 (* Reporting *)
 
 let names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.table []
+  Tbl.String.fold (fun name _ acc -> name :: acc) t.table []
   |> List.sort String.compare
 
 let pp formatter t =
   let rows =
     List.map
       (fun name ->
-        match Hashtbl.find t.table name with
+        match Tbl.String.find t.table name with
         | Counter c -> (name, Printf.sprintf "%d" c.count)
         | Gauge g -> (name, Printf.sprintf "%d (gauge)" !g)
         | Sample s ->
@@ -394,7 +394,7 @@ let metric_to_json = function
 let to_json t =
   Json.Obj
     (List.map
-       (fun name -> (name, metric_to_json (Hashtbl.find t.table name)))
+       (fun name -> (name, metric_to_json (Tbl.String.find t.table name)))
        (names t))
 
 let floats_of_json json =
@@ -467,7 +467,7 @@ let of_json json =
         | (name, value) :: rest -> (
             match metric_of_json value with
             | Ok metric ->
-                Hashtbl.replace t.table name metric;
+                Tbl.String.replace t.table name metric;
                 build rest
             | Error message -> Error (name ^ ": " ^ message))
       in

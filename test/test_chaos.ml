@@ -78,9 +78,9 @@ let golden_fingerprints =
     ("message-delay-loss", 42, "962bc7fd58459d69499901e41e8b23c9");
     ("message-delay-loss", 1981, "73bd12bc4fb0419fb765e39ace3bff7c");
     ("message-delay-loss", 7, "39765eaddf5447eb0eca254fd328d39f");
-    ("home-crash-phase2", 42, "43b7967d929fb7bee5312e0197211596");
-    ("home-crash-phase2", 1981, "3b33b459a06f70ea86a3aea6fd416f0e");
-    ("home-crash-phase2", 7, "63b3c4e45609b3373e2fa4ba5ec6d6a9");
+    ("home-crash-phase2", 42, "0245c7f02982a3705683eef1ffbd3d80");
+    ("home-crash-phase2", 1981, "efd85d0db0c6c1de0a01b0023033a642");
+    ("home-crash-phase2", 7, "c4dbf59a6db5190d4c7bc43dd52cf56b");
     ("node-crash-rollforward", 42, "b1d687682f46c88da568008a1400b288");
     ("node-crash-rollforward", 1981, "1ebb2fe10060b520f21916f3b16a7867");
     ("node-crash-rollforward", 7, "4e8ae78a724a33034fd9a6b55d73400d");

@@ -50,6 +50,38 @@ let test_record_field_ops () =
   Alcotest.(check (option string)) "added" (Some "open")
     (Record.field extended "status")
 
+(* The digit-by-digit codec against the [string_of_int]/[Buffer]
+   formulation it replaced: record sizes feed the simulated disc, so the
+   bytes must not move. *)
+let reference_encode fields =
+  let buffer = Buffer.create 64 in
+  List.iter
+    (fun (name, value) ->
+      List.iter
+        (fun s ->
+          Buffer.add_string buffer (string_of_int (String.length s));
+          Buffer.add_char buffer ':';
+          Buffer.add_string buffer s)
+        [ name; value ])
+    fields;
+  Buffer.contents buffer
+
+let prop_record_codec_matches_reference =
+  QCheck.Test.make ~name:"encode = reference encoder, decode inverts it"
+    ~count:100
+    QCheck.(list (pair string (string_of_size Gen.(0 -- 1200))))
+    (fun fields ->
+      let encoded = Record.encode fields in
+      encoded = reference_encode fields && Record.decode encoded = fields)
+
+let prop_integer_text_matches_stdlib =
+  QCheck.Test.make ~name:"int_text = string_of_int, Key.of_int = %012d"
+    ~count:500
+    QCheck.(oneof [ int; int_range (-1000) 1_000_000; always min_int; always max_int ])
+    (fun n ->
+      Record.int_text n = string_of_int n
+      && Key.of_int n = Printf.sprintf "%012d" n)
+
 let test_record_nested_encoding () =
   (* A whole encoded record carried inside a field of another. *)
   let inner = Record.encode [ ("descr", "rev B"); ("master", "2") ] in
@@ -747,7 +779,8 @@ let () =
           Alcotest.test_case "field ops" `Quick test_record_field_ops;
           Alcotest.test_case "nested encoding" `Quick test_record_nested_encoding;
           Alcotest.test_case "malformed rejected" `Quick test_record_malformed_rejected;
-        ] );
+        ]
+        @ qcheck [ prop_record_codec_matches_reference; prop_integer_text_matches_stdlib ] );
       ( "store",
         [
           Alcotest.test_case "alloc read write" `Quick test_store_alloc_read_write;

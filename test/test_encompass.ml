@@ -231,6 +231,62 @@ let two_node_cluster () =
   in
   (cluster, tcp, spec)
 
+(* A remote begin that reaches a node after the transaction was resolved
+   there (from a server still working for an aborted transaction) must not
+   register it again: the new entry's time limit would abort it a second
+   time and re-apply its before-images over later committed updates. *)
+let test_late_remote_begin_keeps_resolution () =
+  let cluster, _, _ = two_node_cluster () in
+  let tmf = Cluster.tmf cluster and files = Cluster.files cluster in
+  let account = Tandem_db.Key.of_int 60 (* on node 2 *) in
+  let set_balance process transid balance =
+    ignore (File_client.read files ~self:process ~transid ~file:Workload.account_file account);
+    ignore
+      (File_client.update files ~self:process ~transid ~file:Workload.account_file account
+         (Tandem_db.Record.encode [ ("balance", string_of_int balance) ]))
+  in
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let aborted = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      set_balance process aborted 1_050;
+      ignore (Tmf.abort_transaction tmf ~self:process ~reason:"test" aborted);
+      Fiber.sleep (Cluster.engine cluster) (Sim_time.seconds 1);
+      ignore
+        (File_client.read files ~self:process ~transid:aborted
+           ~file:Workload.account_file (Tandem_db.Key.of_int 61));
+      let later = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      set_balance process later 1_007;
+      ignore (Tmf.end_transaction tmf ~self:process later));
+  Cluster.run cluster;
+  Alcotest.(check (option int)) "later commit survives" (Some 1_007)
+    (Workload.account_balance cluster ~account:60)
+
+(* Propagating the transid to a remote server node suspends the request;
+   the class can shrink meanwhile, and the member must be picked from the
+   class as it is when propagation returns. *)
+let test_send_survives_shrink_during_propagation () =
+  let cluster, _, _ = two_node_cluster () in
+  let tmf = Cluster.tmf cluster in
+  let echo =
+    Cluster.add_server_class cluster ~node:2 ~name:"ECHO" ~count:8 (fun _ body -> Ok body)
+  in
+  let replies = ref [] in
+  for i = 0 to 7 do
+    Cluster.run_client cluster ~node:1 ~cpu:(i mod 4) (fun process ->
+        let transid = Tmf.begin_transaction tmf ~node:1 ~cpu:(i mod 4) in
+        let reply =
+          Server.send (Cluster.net cluster) ~self:process ~tmf ~transid echo
+            (string_of_int i)
+        in
+        replies := reply :: !replies;
+        ignore (Tmf.end_transaction tmf ~self:process transid))
+  done;
+  (* Runs after every request above has started propagating. *)
+  Cluster.run_client cluster ~node:1 ~cpu:0 (fun _ -> Server.set_members echo 1);
+  Cluster.run cluster;
+  check_int "class shrank" 1 (Server.member_count echo);
+  check_int "every request served" 8
+    (List.length (List.filter Result.is_ok !replies))
+
 (* Cluster.load_file over several partitions: every touched store ends with
    its flushed image equal to its current image, and charging back on — the
    first read after the load misses the cleared cache into a physical
@@ -504,6 +560,106 @@ let test_file_lock_excludes_other_transactions () =
   check_int "transaction completed after file lock released" 1 (Tcp.completed tcp);
   Alcotest.(check (option int)) "effect applied" (Some 1_050)
     (Workload.account_balance cluster ~account:3)
+
+(* A lock granted to a transaction that is already aborting must not free
+   its other locks before its backout has run: another transaction would
+   read the record it updated, and the backout would then erase that
+   reader's own update to it. *)
+let test_late_grant_keeps_locks_until_backout () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster and files = Cluster.files cluster in
+  let engine = Cluster.engine cluster in
+  let account = Tandem_db.Key.of_int 3 and teller = Tandem_db.Key.of_int 1 in
+  let aborting = ref None and seen = ref None in
+  let after ms body process =
+    Fiber.sleep engine (Sim_time.milliseconds ms);
+    body process
+  in
+  (* B holds teller 1 until A is aborting on the volume's processor, then
+     ends, which grants A's queued request. *)
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let b = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      ignore (File_client.read files ~self:process ~transid:b ~file:Workload.teller_file teller);
+      let rec await () =
+        match !aborting with
+        | Some a when Tmf.state_of tmf ~node:1 ~cpu:2 a = Some Tmf.Tx_state.Aborting -> ()
+        | _ ->
+            Fiber.sleep engine (Sim_time.milliseconds 1);
+            await ()
+      in
+      await ();
+      ignore (Tmf.end_transaction tmf ~self:process b));
+  (* A updates account 3, then queues behind B for teller 1. *)
+  Cluster.run_client cluster ~node:1 ~cpu:2
+    (after 100 (fun process ->
+         let a = Tmf.begin_transaction tmf ~node:1 ~cpu:2 in
+         let update = Tandem_db.Record.encode [ ("balance", "1050") ] in
+         ignore (File_client.read files ~self:process ~transid:a ~file:Workload.account_file account);
+         ignore (File_client.update files ~self:process ~transid:a ~file:Workload.account_file account update);
+         Cluster.run_client cluster ~node:1 ~cpu:0
+           (after 400 (fun process ->
+                aborting := Some a;
+                ignore (Tmf.abort_transaction tmf ~self:process ~reason:"test" a)));
+         ignore (File_client.read files ~self:process ~transid:a ~file:Workload.teller_file teller)));
+  (* C queues behind A for account 3. *)
+  Cluster.run_client cluster ~node:1 ~cpu:3
+    (after 300 (fun process ->
+         let c = Tmf.begin_transaction tmf ~node:1 ~cpu:3 in
+         (match File_client.read files ~self:process ~transid:c ~file:Workload.account_file account with
+         | Ok payload -> seen := Option.bind payload (fun p -> Tandem_db.Record.int_field p "balance")
+         | Error e -> Alcotest.failf "read failed: %a" File_client.pp_error e);
+         ignore (Tmf.end_transaction tmf ~self:process c)));
+  Cluster.run cluster;
+  Alcotest.(check (option int)) "reader sees the backed-out balance" (Some 1_000) !seen;
+  Alcotest.(check (option int)) "balance restored" (Some 1_000)
+    (Workload.account_balance cluster ~account:3)
+
+(* The volume's phase-two release can come before a late grant while the
+   transaction is still registered (the TMP releases volume by volume and
+   forgets the transaction only after the last). The grant itself must be
+   freed then, or nothing would free it before a waiter's lock timeout. *)
+let test_late_grant_after_release_is_freed () =
+  let cluster, _, _ = single_node_cluster () in
+  let tmf = Cluster.tmf cluster and files = Cluster.files cluster in
+  let engine = Cluster.engine cluster in
+  let locks = Discprocess.lock_table (Cluster.discprocess cluster ~node:1 ~volume:"$DATA1") in
+  let teller = Tandem_db.Key.of_int 1 in
+  let teller_lock =
+    Tandem_lock.Lock_table.Record_lock { file = Workload.teller_file; key = teller }
+  in
+  let b = ref None and holder_after_grant = ref (Some "not checked") in
+  (* B holds teller 1; A queues behind it and is then aborted. *)
+  Cluster.run_client cluster ~node:1 ~cpu:1 (fun process ->
+      let tx = Tmf.begin_transaction tmf ~node:1 ~cpu:1 in
+      b := Some tx;
+      ignore (File_client.read files ~self:process ~transid:tx ~file:Workload.teller_file teller);
+      Fiber.sleep engine (Sim_time.seconds 2);
+      ignore (Tmf.end_transaction tmf ~self:process tx));
+  Cluster.run_client cluster ~node:1 ~cpu:2 (fun process ->
+      Fiber.sleep engine (Sim_time.milliseconds 100);
+      let a = Tmf.begin_transaction tmf ~node:1 ~cpu:2 in
+      Cluster.run_client cluster ~node:1 ~cpu:0 (fun process ->
+          Fiber.sleep engine (Sim_time.milliseconds 400);
+          let rec await () =
+            if Tmf.state_of tmf ~node:1 ~cpu:2 a = Some Tmf.Tx_state.Active then begin
+              Fiber.sleep engine (Sim_time.microseconds 1);
+              await ()
+            end
+          in
+          Cluster.run_client cluster ~node:1 ~cpu:3 (fun _ ->
+              await ();
+              (* A's phase-two release reaches the volume first, then B's
+                 release grants A's queued request. *)
+              check_bool "A still registered" true (Tmf.transaction_is_live tmf ~node:1 a);
+              Tandem_lock.Lock_table.release_all locks ~owner:a;
+              Tandem_lock.Lock_table.release_all locks ~owner:(Option.get !b);
+              holder_after_grant :=
+                Option.map Transid.to_string
+                  (Tandem_lock.Lock_table.holder locks teller_lock));
+          ignore (Tmf.abort_transaction tmf ~self:process ~reason:"test" a));
+      ignore (File_client.read files ~self:process ~transid:a ~file:Workload.teller_file teller));
+  Cluster.run cluster;
+  Alcotest.(check (option string)) "late grant freed" None !holder_after_grant
 
 (* ------------------------------------------------------------------ *)
 (* Exactly-once: the DISCPROCESS reply cache replays retried operations *)
@@ -1184,6 +1340,10 @@ let () =
             test_file_lock_excludes_other_transactions;
           Alcotest.test_case "reply cache replays" `Quick
             test_reply_cache_replays_duplicate_op;
+          Alcotest.test_case "late grant keeps locks until backout" `Quick
+            test_late_grant_keeps_locks_until_backout;
+          Alcotest.test_case "late grant after release is freed" `Quick
+            test_late_grant_after_release_is_freed;
           Alcotest.test_case "abandoned tx auto-aborts" `Quick
             test_abandoned_transaction_auto_aborts;
           Alcotest.test_case "stale lock reaped" `Quick test_stale_lock_reaped_by_waiter;
@@ -1194,7 +1354,11 @@ let () =
           Alcotest.test_case "two audit trails" `Quick test_two_audit_trails;
           Alcotest.test_case "bulk load flushes every partition" `Quick
             test_bulk_load_flushes_partitions;
+          Alcotest.test_case "late remote begin keeps resolution" `Quick
+            test_late_remote_begin_keeps_resolution;
           Alcotest.test_case "server autoscaling" `Quick test_server_autoscaling;
+          Alcotest.test_case "send survives shrink during propagation" `Quick
+            test_send_survives_shrink_during_propagation;
           Alcotest.test_case "node security control" `Quick test_node_security_control;
           Alcotest.test_case "explicit RESTART-TRANSACTION" `Quick
             test_explicit_restart_verb;

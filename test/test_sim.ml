@@ -6,36 +6,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let heap = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.add heap) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Heap.pop heap with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_empty () =
-  let heap = Heap.create ~cmp:Int.compare in
-  check_bool "empty" true (Heap.is_empty heap);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop heap);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek heap)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let heap = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.add heap) xs;
-      let rec drain acc =
-        match Heap.pop heap with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Sim_time *)
 
 let test_time_units () =
@@ -170,15 +140,28 @@ let test_engine_rejects_past () =
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence against a naive reference scheduler.
 
-   The monomorphized heap, event pooling and tombstone reaping are pure
-   representation changes: the engine's observable behaviour is the
-   (time, seq)-ordered execution sequence, and that must match a scheduler
-   with none of those optimizations. The workload below randomly schedules
-   and cancels from inside running events — the same decision stream is
-   replayed against both implementations because both deliver events in the
-   same order, so the RNG draws stay aligned. *)
+   The integer heap, slot reuse and tombstone
+   reaping are pure representation changes: the engine's observable
+   behaviour is the (time, seq)-ordered execution sequence, and that must
+   match a scheduler with none of those optimizations. The workload below
+   randomly schedules (often at delay 0, with and without a handle) and
+   cancels (often a same-instant event) from inside running events, and
+   drives the run in [run ~until] chunks, [until = now] included, and
+   single [step]s. The same decision stream is replayed against both
+   implementations because both deliver events in the same order, so the
+   RNG draws stay aligned. *)
 
-let run_scheduler_workload ~seed ~schedule ~cancel ~now ~run =
+type 'h scheduler = {
+  schedule : int -> (unit -> unit) -> 'h;
+  post : int -> (unit -> unit) -> unit;
+  cancel : 'h -> unit;
+  now : unit -> int;
+  run_until : int -> unit;
+  step : unit -> bool;
+  pending : unit -> int;
+}
+
+let run_scheduler_workload ~seed sched =
   let rng = Rng.create ~seed in
   let trace = ref [] in
   let handles = Hashtbl.create 64 in
@@ -187,30 +170,46 @@ let run_scheduler_workload ~seed ~schedule ~cancel ~now ~run =
     incr next_id;
     !next_id
   in
+  let delay () = if Rng.int rng 3 = 0 then 0 else 1 + Rng.int rng 40 in
   let rec action id () =
-    trace := (id, now ()) :: !trace;
+    trace := `Fired (id, sched.now ()) :: !trace;
     (* Spawn 0-2 children, capped so the branching process terminates. *)
     let children = if !next_id >= 300 then 0 else Rng.int rng 3 in
+    let last = ref None in
     for _ = 1 to children do
       let child = fresh () in
-      Hashtbl.replace handles child
-        (schedule (1 + Rng.int rng 40) (action child))
+      if Rng.bool rng then begin
+        let handle = sched.schedule (delay ()) (action child) in
+        Hashtbl.replace handles child handle;
+        last := Some handle
+      end
+      else sched.post (delay ()) (action child)
     done;
-    (* Sometimes cancel a random outstanding handle — possibly one that
-       already fired, which must be a no-op on both sides. *)
-    if Rng.int rng 4 = 0 && Hashtbl.length handles > 0 then begin
-      let ids =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) handles [])
-      in
-      let victim = List.nth ids (Rng.int rng (List.length ids)) in
-      cancel (Hashtbl.find handles victim)
-    end
+    (* Sometimes cancel the child just scheduled (at delay 0, a
+       same-instant event), sometimes a random outstanding handle —
+       possibly one that already fired, which must be a no-op on both
+       sides. *)
+    match (Rng.int rng 4, !last) with
+    | 0, Some handle -> sched.cancel handle
+    | 1, _ when Hashtbl.length handles > 0 ->
+        let ids =
+          List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) handles [])
+        in
+        let victim = List.nth ids (Rng.int rng (List.length ids)) in
+        sched.cancel (Hashtbl.find handles victim)
+    | _ -> ()
   in
   for _ = 1 to 8 do
     let id = fresh () in
-    Hashtbl.replace handles id (schedule (1 + Rng.int rng 40) (action id))
+    Hashtbl.replace handles id (sched.schedule (delay ()) (action id))
   done;
-  run ();
+  while sched.pending () > 0 do
+    (match Rng.int rng 3 with
+    | 0 -> trace := `Stepped (sched.step ()) :: !trace
+    | 1 -> sched.run_until (sched.now ())
+    | _ -> sched.run_until (sched.now () + Rng.int rng 30));
+    trace := `Clock (sched.now ()) :: !trace
+  done;
   List.rev !trace
 
 (* The reference: a sorted association list, no pooling, no tombstones. *)
@@ -237,31 +236,39 @@ module Reference_scheduler = struct
 
   let cancel ev = if not ev.fired then ev.live <- false
 
-  let run t =
-    let rec loop () =
-      let next =
-        List.fold_left
-          (fun best ev ->
-            if not ev.live then best
-            else
-              match best with
-              | Some b
-                when b.time < ev.time || (b.time = ev.time && b.seq < ev.seq)
-                ->
-                  best
-              | _ -> Some ev)
-          None t.events
-      in
-      match next with
-      | None -> ()
-      | Some ev ->
-          t.events <- List.filter (fun e -> e != ev) t.events;
-          t.now <- ev.time;
-          ev.fired <- true;
-          ev.act ();
-          loop ()
-    in
-    loop ()
+  let next t =
+    List.fold_left
+      (fun best ev ->
+        if not ev.live then best
+        else
+          match best with
+          | Some b when b.time < ev.time || (b.time = ev.time && b.seq < ev.seq)
+            ->
+              best
+          | _ -> Some ev)
+      None t.events
+
+  let fire t ev =
+    t.events <- List.filter (fun e -> e != ev) t.events;
+    t.now <- ev.time;
+    ev.fired <- true;
+    ev.act ()
+
+  let step t =
+    match next t with
+    | None -> false
+    | Some ev ->
+        fire t ev;
+        true
+
+  let rec run_until t limit =
+    match next t with
+    | Some ev when ev.time <= limit ->
+        fire t ev;
+        run_until t limit
+    | Some _ | None -> t.now <- max t.now limit
+
+  let pending t = List.length (List.filter (fun ev -> ev.live) t.events)
 end
 
 (* Pure function of the seed — each instance builds its own engine and
@@ -270,18 +277,29 @@ let engine_matches_reference ~seed =
   let engine = Engine.create () in
   let engine_trace =
     run_scheduler_workload ~seed
-      ~schedule:(fun delay act -> Engine.schedule_after engine delay act)
-      ~cancel:Engine.cancel
-      ~now:(fun () -> Engine.now engine)
-      ~run:(fun () -> Engine.run engine)
+      {
+        schedule = Engine.schedule_after engine;
+        post = Engine.post_after engine;
+        cancel = Engine.cancel;
+        now = (fun () -> Engine.now engine);
+        run_until = (fun until -> Engine.run ~until engine);
+        step = (fun () -> Engine.step engine);
+        pending = (fun () -> Engine.pending engine);
+      }
   in
   let reference = Reference_scheduler.create () in
   let reference_trace =
     run_scheduler_workload ~seed
-      ~schedule:(Reference_scheduler.schedule reference)
-      ~cancel:Reference_scheduler.cancel
-      ~now:(fun () -> reference.Reference_scheduler.now)
-      ~run:(fun () -> Reference_scheduler.run reference)
+      {
+        schedule = Reference_scheduler.schedule reference;
+        post =
+          (fun delay act -> ignore (Reference_scheduler.schedule reference delay act));
+        cancel = Reference_scheduler.cancel;
+        now = (fun () -> reference.Reference_scheduler.now);
+        run_until = Reference_scheduler.run_until reference;
+        step = (fun () -> Reference_scheduler.step reference);
+        pending = (fun () -> Reference_scheduler.pending reference);
+      }
   in
   engine_trace = reference_trace
 
@@ -304,6 +322,21 @@ let test_engine_pending_excludes_tombstones () =
   check_int "double cancel counted once" 2 (Engine.events_cancelled engine);
   Engine.run engine;
   check_int "drained" 0 (Engine.pending engine)
+
+(* A heap event due now was scheduled at an earlier clock, so it runs
+   before an event scheduled at now from inside an action. *)
+let test_engine_due_now_before_same_instant () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note label () = log := label :: !log in
+  ignore
+    (Engine.schedule_at engine 10 (fun () ->
+         note "first" ();
+         Engine.post_after engine 0 (note "same instant")));
+  ignore (Engine.schedule_at engine 10 (note "due now"));
+  Engine.run engine;
+  Alcotest.(check (list string))
+    "order" [ "first"; "due now"; "same instant" ] (List.rev !log)
 
 let test_engine_stale_handle_is_noop () =
   (* After an event fires, its record returns to the pool and may be reused
@@ -672,12 +705,6 @@ let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tandem_sim"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-        ]
-        @ qcheck [ prop_heap_sorts ] );
       ("sim_time", [ Alcotest.test_case "units" `Quick test_time_units ]);
       ( "rng",
         [
@@ -699,6 +726,8 @@ let () =
             test_engine_pending_excludes_tombstones;
           Alcotest.test_case "stale handle is a no-op" `Quick
             test_engine_stale_handle_is_noop;
+          Alcotest.test_case "due now before same instant" `Quick
+            test_engine_due_now_before_same_instant;
           Alcotest.test_case "mass cancel reclaims" `Quick
             test_engine_mass_cancel_reclaims;
         ]
