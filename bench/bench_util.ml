@@ -1,6 +1,6 @@
 (* Shared machinery for the experiment harness: standard cluster builds,
-   closed-loop load generation, bucketed throughput sampling and table
-   printing. *)
+   closed-loop load generation and measurement, bucketed throughput
+   sampling, table printing and the committed BENCH_*.json writers. *)
 
 open Tandem_sim
 open Tandem_encompass
@@ -38,71 +38,28 @@ let f1 value = Printf.sprintf "%.1f" value
 let f2 value = Printf.sprintf "%.2f" value
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results
+(* Run mode and committed JSON *)
 
-   Each experiment snapshots metrics registries under a label; the harness
-   writes the accumulated set to BENCH_results.json (schema documented in
-   docs/OBSERVABILITY.md). *)
+(* Quick mode (TANDEM_BENCH_QUICK=1): tiny samples that prove the harness
+   still builds and runs; estimates are meaningless, so committed BENCH_*
+   files are left alone. *)
+let quick_mode () =
+  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
+  | Some ("1" | "true" | "yes") -> true
+  | Some _ | None -> false
 
-type recorded = { experiment : string; label : string; metrics : Json.t }
+let write_json path ~what json =
+  let out = open_out path in
+  output_string out (Json.to_string ~pretty:true json);
+  output_string out "\n";
+  close_out out;
+  Printf.printf "\n%s written to %s\n" what path
 
-let recorded_results : recorded list ref = ref [] (* newest first *)
-
-(* The recorder is shared by every experiment; experiments that fan their
-   points out on the domain pool record from worker domains, so the push
-   must be atomic. Deterministic JSON output still requires callers to
-   record in task order — parallelized experiments return per-task
-   registries from the pool and record them from the main domain. *)
-let recorded_mutex = Mutex.create ()
-
-let current_experiment = ref "unassigned"
-
-let set_experiment id = current_experiment := id
-
-let push recorded =
-  Mutex.lock recorded_mutex;
-  recorded_results := recorded :: !recorded_results;
-  Mutex.unlock recorded_mutex
-
-let record_registry ?(label = "") metrics =
-  push
-    { experiment = !current_experiment; label; metrics = Metrics.to_json metrics }
-
-let record_spans ?(label = "") spans =
-  push
-    {
-      experiment = !current_experiment;
-      label;
-      metrics = Json.Obj [ ("spans", Span.summary_json spans) ];
-    }
-
-let results_json () =
-  Json.Obj
-    [
-      ("schema", Json.String "tandem-bench-results/1");
-      ( "experiments",
-        Json.List
-          (List.rev_map
-             (fun { experiment; label; metrics } ->
-               Json.Obj
-                 [
-                   ("experiment", Json.String experiment);
-                   ("label", Json.String label);
-                   ("metrics", metrics);
-                 ])
-             !recorded_results) );
-    ]
-
-let write_results path =
-  match open_out path with
-  | out ->
-      output_string out (Json.to_string ~pretty:true (results_json ()));
-      output_string out "\n";
-      close_out out;
-      Printf.printf "\nresults written to %s (%d registries)\n" path
-        (List.length !recorded_results)
-  | exception Sys_error message ->
-      Printf.eprintf "cannot write %s: %s\n" path message
+(* A full run rewrites the committed file; a quick run says it did not. *)
+let publish ~quick path ~what json =
+  if quick then
+    Printf.printf "quick mode: estimates meaningless, %s left untouched\n" path
+  else write_json path ~what (json ())
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel point fan-out
@@ -204,3 +161,152 @@ let bucketed_throughput ~engine ~bucket ~buckets count_now =
 
 let tx_per_second completed span =
   float_of_int completed /. Sim_time.to_seconds_float span
+
+(* ------------------------------------------------------------------ *)
+(* Three-node bank
+
+   The ablation benches' cluster: nodes 1-3 of four processors, linked to
+   node 1 (and to each other when [full_mesh]); one data volume $DATA<n>
+   per node on processors 2/3; a 10-teller, 5-branch bank partitioned over
+   those volumes; the server classes [servers] adds; and one TCP $TCP<n>
+   per node, so commit homes spread across the cluster. *)
+let three_node_bank ~seed ~config ?(full_mesh = false) ?cache_capacity
+    ~accounts ~servers ~terminals ~program () =
+  let cluster = Cluster.create ~seed ~config () in
+  let nodes = [ 1; 2; 3 ] in
+  List.iter (fun id -> ignore (Cluster.add_node cluster ~id ~cpus:4)) nodes;
+  Cluster.link cluster 1 2;
+  Cluster.link cluster 1 3;
+  if full_mesh then Cluster.link cluster 2 3;
+  let volume node = Printf.sprintf "$DATA%d" node in
+  List.iter
+    (fun node ->
+      ignore
+        (Cluster.add_volume cluster ~node ~name:(volume node) ~primary_cpu:2
+           ~backup_cpu:3 ?cache_capacity ()))
+    nodes;
+  let spec =
+    {
+      Workload.accounts;
+      tellers = 10;
+      branches = 5;
+      initial_balance = 10_000;
+      account_partitions = List.map (fun node -> (node, volume node)) nodes;
+      system_home = (1, volume 1);
+    }
+  in
+  Workload.install_bank cluster spec;
+  servers cluster;
+  let tcps =
+    List.map
+      (fun node ->
+        Cluster.add_tcp cluster ~node
+          ~name:(Printf.sprintf "$TCP%d" node)
+          ~terminals ~program ())
+      nodes
+  in
+  (cluster, spec, tcps)
+
+(* ------------------------------------------------------------------ *)
+(* Closed-loop runs *)
+
+(* Deal [inputs] round-robin over [tcps], spreading each TCP's share over
+   its [terminals]; returns the number submitted. *)
+let submit_round_robin tcps ~terminals inputs =
+  let tcp_count = List.length tcps in
+  List.iteri
+    (fun i input ->
+      Tcp.submit
+        (List.nth tcps (i mod tcp_count))
+        ~terminal:(i / tcp_count mod terminals)
+        input)
+    inputs;
+  List.length inputs
+
+type run = {
+  committed : int;
+  submitted : int;
+  elapsed : Sim_time.span;
+  tps : float;
+  latency : Metrics.sample; (* encompass.tx_latency_ms *)
+  counters : (string * int) list;
+}
+
+(* Run a cluster whose TCPs hold [submitted] queued inputs to the [until]
+   bound, summing [counters] over their labels at the end. Elapsed is the
+   instant the last input reaches a final disposition (completed, failed or
+   program-aborted; polled every 10 ms), not the run bound: watchdog and
+   retry machinery keep the event queue alive long after the workload
+   drains. *)
+let run_closed_loop ?(until = Sim_time.minutes 30) ?(counters = []) cluster
+    tcps ~submitted =
+  let sum_over f = List.fold_left (fun acc tcp -> acc + f tcp) 0 tcps in
+  let engine = Cluster.engine cluster in
+  let finish_time = ref None in
+  let rec poll () =
+    let settled =
+      sum_over Tcp.completed + sum_over Tcp.failures
+      + sum_over Tcp.program_aborts
+    in
+    if settled >= submitted then finish_time := Some (Engine.now engine)
+    else ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll)
+  in
+  ignore (Engine.schedule_after engine (Sim_time.milliseconds 10) poll);
+  Cluster.run ~until cluster;
+  let metrics = Cluster.metrics cluster in
+  let elapsed =
+    match !finish_time with Some t -> t | None -> Engine.now engine
+  in
+  let committed = sum_over Tcp.completed in
+  {
+    committed;
+    submitted;
+    elapsed;
+    tps = tx_per_second committed elapsed;
+    latency = Metrics.read_sample metrics "encompass.tx_latency_ms";
+    counters =
+      List.map (fun name -> (name, Metrics.sum_counters metrics name)) counters;
+  }
+
+(* A run's JSON fields, then its counters when it summed any. *)
+let run_fields run =
+  [
+    ("committed", Json.Int run.committed);
+    ("submitted", Json.Int run.submitted);
+    ("elapsed_s", Json.Float (Sim_time.to_seconds_float run.elapsed));
+    ("tx_per_sec", Json.Float run.tps);
+    ("mean_latency_ms", Json.Float (Metrics.mean run.latency));
+  ]
+
+let counters_field run =
+  if run.counters = [] then []
+  else
+    [
+      ( "counters",
+        Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) run.counters)
+      );
+    ]
+
+(* A knob ablation: one row per configuration, and the all-on over all-off
+   throughput ratio. *)
+let ablation_json ~schema ~baseline_commit ?workload ~terminals rows =
+  let tps_of label = Option.map (fun run -> run.tps) (List.assoc_opt label rows) in
+  let row (label, run) =
+    Json.Obj ((("config", Json.String label) :: run_fields run) @ counters_field run)
+  in
+  Json.Obj
+    ([
+       ("schema", Json.String schema);
+       ("baseline_commit", Json.String baseline_commit);
+     ]
+    @ Option.fold ~none:[]
+        ~some:(fun workload -> [ ("workload", Json.String workload) ])
+        workload
+    @ [
+        ("terminals", Json.Int terminals);
+        ("configs", Json.List (List.map row rows));
+        ( "speedup_all_on_vs_all_off",
+          match (tps_of "all-off", tps_of "all-on") with
+          | Some off, Some on when off > 0.0 -> Json.Float (on /. off)
+          | _ -> Json.Null );
+      ])

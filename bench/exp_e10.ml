@@ -37,9 +37,6 @@ let measure ~since_archive =
   let stats = Cluster.rollforward_node bank.cluster ~node:1 archive in
   let recovery_time = Sim_time.diff (Engine.now (Cluster.engine bank.cluster)) started in
   let funds_after = Workload.total_balance bank.cluster bank.spec in
-  record_registry
-    ~label:(Printf.sprintf "since_archive=%d" since_archive)
-    (Cluster.metrics bank.cluster);
   (committed_before, gap, stats, recovery_time, funds_before = funds_after)
 
 let run () =

@@ -59,7 +59,6 @@ let run_once ~cut_ms =
     (Engine.schedule_after engine (Sim_time.seconds 120) (fun () ->
          Net.restore_link (Cluster.net cluster) 1 2));
   Cluster.run ~until:(Sim_time.minutes 6) cluster;
-  record_registry ~label:(Printf.sprintf "cut=%dms" cut_ms) (Cluster.metrics cluster);
   let stuck_locks =
     Tandem_lock.Lock_table.locked_count
       (Discprocess.lock_table (Cluster.discprocess cluster ~node:2 ~volume:"$D2"))

@@ -45,9 +45,6 @@ let measure ~restart_limit =
          ~amount:1)
   done;
   Cluster.run ~until:(Sim_time.minutes 10) cluster;
-  record_registry
-    ~label:(Printf.sprintf "restart_limit=%d" restart_limit)
-    (Cluster.metrics cluster);
   (tcp, offered)
 
 let run () =

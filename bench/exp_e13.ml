@@ -33,7 +33,6 @@ let run () =
     (Engine.schedule_after engine (Sim_time.seconds 35) (fun () ->
          Tandem_disk.Volume.revive_drive volume `M0 ~blocks:200));
   Cluster.run ~until:(bucket * 6) bank.cluster;
-  record_registry (Cluster.metrics bank.cluster);
   let rows =
     List.init 6 (fun i ->
         let phase =

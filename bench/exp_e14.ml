@@ -81,7 +81,6 @@ let run () =
   Tandem_encompass.Cluster.run
     ~until:(Sim_time.add (Engine.now (Tandem_encompass.Cluster.engine cluster)) (Sim_time.minutes 2))
     cluster;
-  record_registry (Tandem_encompass.Cluster.metrics cluster);
   observed
     "after healing, divergent items: %d — the deferred updates of the master \
      scheme all reached the cut-off plant"

@@ -18,7 +18,6 @@ let measure ~skew =
   queue_debit_credit bank ~per_terminal:25 ~skew;
   Cluster.run ~until:(Sim_time.minutes 4) bank.cluster;
   let metrics = Cluster.metrics bank.cluster in
-  record_registry ~label:(Printf.sprintf "skew=%.1f" skew) metrics;
   ( total_completed bank,
     2 * 8 * 25,
     Metrics.read_counter metrics "lock.waits",

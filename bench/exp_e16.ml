@@ -39,9 +39,6 @@ let measure ~cache_capacity =
       (Workload.debit_credit_input rng spec ~skew:0.9 ())
   done;
   Cluster.run ~until:(Sim_time.minutes 6) cluster;
-  record_registry
-    ~label:(Printf.sprintf "cache=%d" cache_capacity)
-    (Cluster.metrics cluster);
   let volume = Cluster.volume cluster ~node:1 ~volume:"$DATA1" in
   let dp = Cluster.discprocess cluster ~node:1 ~volume:"$DATA1" in
   let store = Discprocess.store dp in

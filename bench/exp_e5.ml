@@ -31,7 +31,6 @@ let tmf_side () =
     (Engine.schedule_after engine (Sim_time.seconds 40) (fun () ->
          Cluster.restore_cpu bank.cluster ~node:1 2));
   Cluster.run ~until:(bucket * buckets) bank.cluster;
-  record_registry ~label:"tmf" (Cluster.metrics bank.cluster);
   (samples, total_restarts bank, total_failures bank)
 
 let wal_side () =
@@ -94,7 +93,6 @@ let wal_side () =
          Tandem_baseline.Wal_tm.crash tm;
          Tandem_baseline.Wal_tm.restart tm ~on_done:(fun () -> ())));
   Engine.run ~until:(bucket * buckets) engine;
-  record_registry ~label:"wal" metrics;
   (samples, Tandem_baseline.Wal_tm.unavailable_total tm, !lost)
 
 let run () =

@@ -20,7 +20,6 @@ let tmf_side () =
   let monitor_volume = Cluster.volume bank.cluster ~node:1 ~volume:"$SYSTEM" in
   queue_debit_credit bank ~per_terminal:(transactions / 4);
   Cluster.run ~until:(Sim_time.minutes 5) bank.cluster;
-  record_registry ~label:"tmf" (Cluster.metrics bank.cluster);
   let committed = total_completed bank in
   let forced =
     Tandem_disk.Volume.forced_writes audit_volume
@@ -84,7 +83,6 @@ let wal_side () =
                | Error `Halted -> ())
          done));
   Engine.run engine;
-  record_registry ~label:"wal" metrics;
   ( !committed,
     Tandem_disk.Volume.forced_writes log_volume,
     Metrics.mean latencies )

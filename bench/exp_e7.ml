@@ -95,11 +95,6 @@ let measure ?(parallel = false) ~k ~transactions () =
     Tcp.submit tcp ~terminal:0 (Record.encode [ ("k", string_of_int k) ])
   done;
   Cluster.run ~until:(Sim_time.minutes 10) cluster;
-  let label =
-    Printf.sprintf "k=%d%s" k (if parallel then ",parallel" else "")
-  in
-  record_registry ~label metrics;
-  record_spans ~label (Cluster.spans cluster);
   let committed = Tcp.completed tcp in
   let per count = float_of_int count /. float_of_int (max 1 committed) in
   ( committed,

@@ -16,9 +16,6 @@ let intra_node ~cpus =
   let bank = make_bank ~seed:59 ~cpus ~terminals:4 () in
   queue_debit_credit bank ~per_terminal:5;
   Cluster.run ~until:(Sim_time.minutes 2) bank.cluster;
-  record_registry
-    ~label:(Printf.sprintf "cpus=%d" cpus)
-    (Cluster.metrics bank.cluster);
   let committed = total_completed bank in
   let broadcasts =
     Metrics.read_counter (Cluster.metrics bank.cluster) "tmf.state_broadcast_msgs"
@@ -86,7 +83,6 @@ let run () =
   done;
   Cluster.run ~until:(Sim_time.minutes 5) cluster;
   let metrics = Cluster.metrics cluster in
-  record_registry ~label:"network" metrics;
   observed
     "8-node network, 2 participating nodes, 10 transactions: %d remote begins \
      and %.1f prepares/tx — the six non-participating nodes received nothing"

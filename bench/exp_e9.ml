@@ -39,9 +39,6 @@ let measure ~timeout_ms =
     Tcp.submit tcp ~terminal:(i mod 8) (Workload.transfer_input rng spec ())
   done;
   Cluster.run ~until:(Sim_time.minutes 5) cluster;
-  record_registry
-    ~label:(Printf.sprintf "timeout=%dms" timeout_ms)
-    (Cluster.metrics cluster);
   (cluster, tcp, spec, offered)
 
 let run () =

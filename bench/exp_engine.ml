@@ -55,11 +55,6 @@ let baselines =
     ("metrics/labeled counter bump", 6_690_000.0);
   ]
 
-let quick_mode () =
-  match Sys.getenv_opt "TANDEM_BENCH_QUICK" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let time_events f =
   let started = Unix.gettimeofday () in
   let events = f () in
@@ -200,7 +195,7 @@ let benchmarks ~quick =
       labeled_counter_bump ~budget:(scale 4_000_000) );
   ]
 
-let write_json rows (events, commits, elapsed, ns_per_event, words_per_commit) =
+let write_engine_json rows (events, commits, elapsed, ns_per_event, words_per_commit) =
   let entries =
     List.map
       (fun (name, events, elapsed, rate) ->
@@ -242,11 +237,7 @@ let write_json rows (events, commits, elapsed, ns_per_event, words_per_commit) =
             ] );
       ]
   in
-  let out = open_out "BENCH_engine.json" in
-  output_string out (Json.to_string ~pretty:true json);
-  output_string out "\n";
-  close_out out;
-  Printf.printf "\nengine results written to BENCH_engine.json\n"
+  write_json "BENCH_engine.json" ~what:"engine results" json
 
 let run () =
   heading "ENGINE — simulation-engine events/sec (wall-clock)";
@@ -291,7 +282,7 @@ let run () =
     bank_e2e_name ns_per_event words_per_commit;
   if quick then
     print_endline "quick mode: BENCH_engine.json left untouched"
-  else write_json rows e2e;
+  else write_engine_json rows e2e;
   observed
     "an integer-indexed queue (slot slab, int-array heap) with reused \
      slots and reaped cancelled tombstones lifts every engine shape; the \

@@ -22,7 +22,6 @@ let run_scenario ~label inject =
   Cluster.run ~until:(Sim_time.minutes 3) bank.cluster;
   let offered = 8 * 25 in
   let metrics = Cluster.metrics bank.cluster in
-  record_registry ~label metrics;
   [
     label;
     Printf.sprintf "%d/%d" (total_completed bank) offered;

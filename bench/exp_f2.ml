@@ -32,9 +32,6 @@ let measure ~cpus =
            end))
   done;
   Cluster.run ~until:window bank.cluster;
-  record_registry
-    ~label:(Printf.sprintf "cpus=%d" cpus)
-    (Cluster.metrics bank.cluster);
   let committed = total_completed bank in
   let elapsed = max second !last_activity in
   let busy =

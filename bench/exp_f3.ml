@@ -36,8 +36,6 @@ let run () =
       (Workload.debit_credit_input bank.rng bank.spec ())
   done;
   Cluster.run ~until:(Sim_time.minutes 5) bank.cluster;
-  record_registry (Cluster.metrics bank.cluster);
-  record_spans (Cluster.spans bank.cluster);
   let state = Tmf.node_state (Cluster.tmf bank.cluster) 1 in
   let census = Tmf.Tx_table.transition_census state.Tmf.Tmf_state.tx_tables in
   let name = function

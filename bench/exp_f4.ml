@@ -84,7 +84,6 @@ let run () =
     ~until:(Sim_time.add healed_at (Sim_time.minutes 2))
     (Mfg_app.cluster t);
   rows := snapshot t "re-connected (2min)" :: !rows;
-  record_registry (Tandem_encompass.Cluster.metrics (Mfg_app.cluster t));
   print_table
     ~columns:[ "phase"; "tx completed"; "suspense backlog"; "divergent items" ]
     (List.rev !rows);

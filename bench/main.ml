@@ -84,8 +84,6 @@ let () =
     (fun (id, title, run) ->
       Printf.printf "\n==================================================================\n";
       Printf.printf "[%s] %s\n" (String.uppercase_ascii id) title;
-      Bench_util.set_experiment id;
       run ())
     selected;
-  Bench_util.write_results "BENCH_results.json";
   Printf.printf "\nAll selected experiments complete.\n"

@@ -25,7 +25,6 @@ type t = {
   name : string;
   handler : handler;
   mutable members : Process.t array;  (* slot-indexed: names are stable *)
-  mutable served : int;
 }
 
 let member_name t index = Printf.sprintf "%s-%d" t.name index
@@ -39,7 +38,6 @@ let server_body t process =
         Cpu.consume (Process.cpu process) config.Hw_config.cpu_server_cost;
         let ctx = { server_process = process; files = t.files; transid } in
         let result = t.handler ctx body in
-        t.served <- t.served + 1;
         Rpc.reply t.net ~self:process ~to_:message (Server_reply result)
     | _ -> ());
     loop ()
@@ -60,7 +58,7 @@ let spawn_slot t slot =
 
 let create_class ~net ~files ~node ~name ~handler ~initial () =
   let t =
-    { net; files; node; name; handler; members = [||]; served = 0 }
+    { net; files; node; name; handler; members = [||] }
   in
   t.members <-
     Array.init initial (fun slot ->
@@ -102,8 +100,6 @@ let set_members t target =
     in
     t.members <- Array.append t.members extra
   end
-
-let requests_served t = t.served
 
 let queued_requests t =
   Array.fold_left

@@ -11,7 +11,6 @@ type t = {
   failure_detection : Sim_time.span;
   rpc_timeout : Sim_time.span;
   rpc_retries : int;
-  rpc_backoff_multiplier : float;
   net_retransmit : Sim_time.span;
   net_attempts : int;
   dp_checkpoint_coalescing : bool;
@@ -46,7 +45,6 @@ let default =
     failure_detection = Sim_time.seconds 1;
     rpc_timeout = Sim_time.seconds 2;
     rpc_retries = 3;
-    rpc_backoff_multiplier = 1.0;
     net_retransmit = Sim_time.milliseconds 200;
     net_attempts = 5;
     dp_checkpoint_coalescing = true;
@@ -98,10 +96,6 @@ let knob_docs =
     ( "rpc_retries",
       string_of_int d.rpc_retries,
       "automatic path retries after an RPC timeout" );
-    ( "rpc_backoff_multiplier",
-      Printf.sprintf "%g" d.rpc_backoff_multiplier,
-      "each RPC retry waits this factor longer than the last, with \
-       deterministic jitter; 1 keeps the fixed-interval schedule" );
     ( "net_retransmit",
       span_doc d.net_retransmit,
       "end-to-end protocol retransmission interval" );

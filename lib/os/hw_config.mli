@@ -29,12 +29,6 @@ type t = {
   rpc_retries : int;
       (** Automatic path retries (re-resolving process names, so a retry
           reaches the backup of a process-pair after takeover). *)
-  rpc_backoff_multiplier : float;
-      (** Each retry's wait grows by this factor (exponential backoff), with
-          a deterministic jitter so retries from many requesters de-phase.
-          [1.0] (the default) reproduces the fixed-interval schedule:
-          timeout-spaced path retries, [net_retransmit]-spaced name
-          re-resolution. *)
   net_retransmit : Tandem_sim.Sim_time.span;
       (** End-to-end protocol retransmission interval. *)
   net_attempts : int;

@@ -429,18 +429,6 @@ let test_relative_file () =
     (Relative_file.delete_slot file 0);
   check_int "count after delete" 2 (Relative_file.record_count file)
 
-let test_entry_file () =
-  let file = Entry_file.create (make_store ()) ~name:"E" ~entries_per_segment:3 in
-  let numbers = List.map (fun i -> Entry_file.append file (Printf.sprintf "e%d" i)) [ 0; 1; 2; 3; 4 ] in
-  Alcotest.(check (list int)) "dense numbering" [ 0; 1; 2; 3; 4 ] numbers;
-  check_int "count" 5 (Entry_file.count file);
-  Alcotest.(check (option string)) "read 3" (Some "e3") (Entry_file.read_entry file 3);
-  Alcotest.(check (option string)) "read oob" None (Entry_file.read_entry file 9);
-  let seen = ref [] in
-  Entry_file.iter_from file 2 (fun i payload -> seen := (i, payload) :: !seen);
-  Alcotest.(check (list (pair int string)))
-    "iter_from" [ (2, "e2"); (3, "e3"); (4, "e4") ] (List.rev !seen)
-
 (* ------------------------------------------------------------------ *)
 (* Secondary indices through File *)
 
@@ -809,7 +797,6 @@ let () =
       ( "flat_files",
         [
           Alcotest.test_case "relative file" `Quick test_relative_file;
-          Alcotest.test_case "entry file" `Quick test_entry_file;
         ] );
       ( "file",
         [
