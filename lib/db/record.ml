@@ -44,36 +44,69 @@ let encode fields =
        0 fields);
   Bytes.unsafe_to_string bytes
 
+(* Decoding and lookup share one scan: [chunk_end] checks the chunk at
+   [position] and returns where it ends; its text follows the first ':'. *)
+let rec written_length payload position i acc =
+  match payload.[i] with
+  | ':' when i > position -> acc
+  | '0' .. '9' as c ->
+      (* Saturates past the payload: such a length is truncated anyway. *)
+      let acc = min (String.length payload + 1) ((10 * acc) + Char.code c - 48) in
+      written_length payload position (i + 1) acc
+  | _ -> invalid_arg "Record.decode: malformed length"
+
+let chunk_end payload position =
+  match String.index_from_opt payload position ':' with
+  | None -> invalid_arg "Record.decode: missing length delimiter"
+  | Some colon ->
+      let stop = colon + 1 + written_length payload position position 0 in
+      if stop > String.length payload then
+        invalid_arg "Record.decode: truncated field";
+      stop
+
+let text_start payload position = String.index_from payload position ':' + 1
+
+let text payload position stop =
+  let start = text_start payload position in
+  String.sub payload start (stop - start)
+
 let decode payload =
-  let limit = String.length payload in
-  let parse_chunk position =
-    match String.index_from_opt payload position ':' with
-    | None -> invalid_arg "Record.decode: missing length delimiter"
-    | Some colon ->
-        (* Saturates past [limit]: such a length is truncated anyway. *)
-        let rec length i acc =
-          match payload.[i] with
-          | ':' when i > position -> acc
-          | '0' .. '9' as c ->
-              length (i + 1) (min (limit + 1) ((10 * acc) + Char.code c - 48))
-          | _ -> invalid_arg "Record.decode: malformed length"
-        in
-        let length = length position 0 in
-        if colon + 1 + length > limit then
-          invalid_arg "Record.decode: truncated field";
-        (String.sub payload (colon + 1) length, colon + 1 + length)
-  in
   let rec parse position acc =
-    if position >= limit then List.rev acc
+    if position >= String.length payload then List.rev acc
     else begin
-      let name, after_name = parse_chunk position in
-      let value, after_value = parse_chunk after_name in
-      parse after_value ((name, value) :: acc)
+      let after_name = chunk_end payload position in
+      let after_value = chunk_end payload after_name in
+      parse after_value
+        ((text payload position after_name, text payload after_name after_value)
+        :: acc)
     end
   in
   parse 0 []
 
-let field payload name = List.assoc_opt name (decode payload)
+let rec same_text payload start name i =
+  i = String.length name
+  || (payload.[start + i] = name.[i] && same_text payload start name (i + 1))
+
+(* The position of the value chunk of the first field called [name], or
+   -1, found without cutting out any text. Every chunk is checked, so
+   malformed input raises what [decode] raises. *)
+let rec locate payload name position found =
+  if position >= String.length payload then found
+  else begin
+    let after_name = chunk_end payload position in
+    let after_value = chunk_end payload after_name in
+    let start = text_start payload position in
+    if
+      found < 0
+      && after_name - start = String.length name
+      && same_text payload start name 0
+    then locate payload name after_value after_name
+    else locate payload name after_value found
+  end
+
+let field payload name =
+  let at = locate payload name 0 (-1) in
+  if at < 0 then None else Some (text payload at (chunk_end payload at))
 
 let set_field payload name value =
   let fields = decode payload in

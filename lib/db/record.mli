@@ -19,7 +19,8 @@ val decode : string -> fields
 (** Inverse of {!encode}; raises [Invalid_argument] on malformed input. *)
 
 val field : string -> string -> string option
-(** [field payload name] decodes and extracts one field. *)
+(** [field payload name] is [List.assoc_opt name (decode payload)], read in
+    place without decoding, and raising what [decode] raises. *)
 
 val set_field : string -> string -> string -> string
 (** [set_field payload name value] re-encodes with [name] set to [value]

@@ -1,9 +1,11 @@
 open Tandem_sim
 
+(* A parked receive. A waiter is queued until it is woken, and woken once:
+   with [message] set by [enqueue], or left [None] by [flush_dead]. *)
 type waiter = {
   filter : Message.t -> bool;
-  resume : Message.t Fiber.resume;
-  mutable active : bool;
+  fiber : Fiber.t;
+  mutable message : Message.t option;
 }
 
 type t = {
@@ -20,17 +22,11 @@ let accept_all _ = true
    survivors in their original order. The unfiltered common case (and any
    front-of-queue match) short-circuits to a single O(1) pop. *)
 
+let hand_over waiter message =
+  waiter.message <- Some message;
+  Fiber.wake waiter.fiber
+
 let enqueue t message =
-  (* Flushed waiters at the front are inert; popping them preserves the
-     order of the live ones. *)
-  let rec drop_dead () =
-    match Queue.peek_opt t.waiters with
-    | Some waiter when not waiter.active ->
-        ignore (Queue.pop t.waiters);
-        drop_dead ()
-    | Some _ | None -> ()
-  in
-  drop_dead ();
   match Queue.peek_opt t.waiters with
   | None -> Queue.add message t.queue
   | Some front when front.filter message ->
@@ -38,8 +34,7 @@ let enqueue t message =
          rotation. This is the steady state for server classes, where
          every parked server uses the same filter. *)
       ignore (Queue.pop t.waiters);
-      front.active <- false;
-      front.resume (Ok message)
+      hand_over front message
   | Some _ ->
       (* Selective receives in front: full rotation (pop every waiter
          once, re-add all but the chosen) — the only filtered removal
@@ -48,15 +43,12 @@ let enqueue t message =
       let chosen = ref None in
       for _ = 1 to passes do
         let waiter = Queue.pop t.waiters in
-        if not waiter.active then () (* flushed; drop *)
-        else if Option.is_none !chosen && waiter.filter message then begin
-          waiter.active <- false;
+        if Option.is_none !chosen && waiter.filter message then
           chosen := Some waiter
-        end
         else Queue.add waiter t.waiters
       done;
       (match !chosen with
-      | Some waiter -> waiter.resume (Ok message)
+      | Some waiter -> hand_over waiter message
       | None -> Queue.add message t.queue)
 
 let take_queued filter t =
@@ -80,9 +72,13 @@ let receive_opt ?(filter = accept_all) t = take_queued filter t
 let receive ?(filter = accept_all) t =
   match take_queued filter t with
   | Some message -> message
-  | None ->
-      Fiber.suspend (fun resume ->
-          Queue.add { filter; resume; active = true } t.waiters)
+  | None -> (
+      let waiter = { filter; fiber = Fiber.self (); message = None } in
+      Queue.add waiter t.waiters;
+      Fiber.park ();
+      match waiter.message with
+      | Some message -> message
+      | None -> raise Fiber.Killed)
 
 let pending t = Queue.length t.queue
 
@@ -90,10 +86,4 @@ let flush_dead t =
   let waiters = List.of_seq (Queue.to_seq t.waiters) in
   Queue.clear t.waiters;
   Queue.clear t.queue;
-  List.iter
-    (fun waiter ->
-      if waiter.active then begin
-        waiter.active <- false;
-        waiter.resume (Error Fiber.Killed)
-      end)
-    waiters
+  List.iter (fun waiter -> Fiber.wake waiter.fiber) waiters

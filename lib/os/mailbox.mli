@@ -22,5 +22,5 @@ val receive_opt : ?filter:(Message.t -> bool) -> t -> Message.t option
 val pending : t -> int
 
 val flush_dead : t -> unit
-(** Process death: wake every parked waiter with [Error Fiber.Killed] and
-    discard queued messages. *)
+(** Process death: wake every parked receiver, whose [receive] then raises
+    [Fiber.Killed], and discard queued messages. *)

@@ -38,10 +38,18 @@ val deliver : t -> Message.t -> unit
     RPC complete it directly; everything else goes to the mailbox. Dropped if
     the process is dead. *)
 
-val expect_reply : t -> corr:int -> (Message.payload -> unit) -> unit
-(** Register an RPC completion for correlation number [corr]. *)
+type reply_wait
 
-val forget_reply : t -> corr:int -> unit
+val await_reply :
+  t -> corr:int -> timeout:Tandem_sim.Sim_time.span -> reply_wait
+(** Register the calling fiber as waiting for the reply to correlation
+    number [corr], and arm its timeout (the fiber's waker, [timeout] from
+    now). The caller then parks until the reply or the timeout wakes it. *)
+
+val reply_of :
+  t -> corr:int -> reply_wait -> (Message.payload, [> `Timeout ]) result
+(** After the wake-up: the reply, or [`Timeout], in which case the entry is
+    dropped so that a late reply is discarded. *)
 
 val receive : ?filter:(Message.t -> bool) -> t -> Message.t
 (** Blocking receive from the process mailbox (inside one of its fibers). *)

@@ -6,32 +6,21 @@ let pp_error formatter = function
   | `Timeout -> Format.pp_print_string formatter "timeout"
   | `No_such_name -> Format.pp_print_string formatter "no such name"
 
-exception Rpc_timeout
-
 let call net ~self ~dst ?timeout payload =
   let timeout =
     match timeout with
     | Some span -> span
     | None -> (Net.config net).Hw_config.rpc_timeout
   in
-  let engine = Net.engine net in
   let corr = Net.fresh_corr net in
   let message = Message.request ~src:(Process.pid self) ~dst ~corr payload in
-  match
-    (* The reply/timeout race: the reply wins by resuming (which cancels
-       the timeout event); the timeout wins by forgetting the correlation
-       entry (so a late reply is dropped at the table). *)
-    Fiber.suspend_until engine ~timeout
-      ~on_timeout:(fun () ->
-        Process.forget_reply self ~corr;
-        Rpc_timeout)
-      (fun resume ->
-        Process.expect_reply self ~corr (fun reply_payload ->
-            resume (Ok reply_payload));
-        Net.send net message)
-  with
-  | reply_payload -> Ok reply_payload
-  | exception Rpc_timeout -> Error `Timeout
+  (* The reply/timeout race: the reply wins by cancelling the timer before
+     the wake-up; the timeout wins by dropping the entry, so a late reply
+     is discarded at the table. *)
+  let wait = Process.await_reply self ~corr ~timeout in
+  Net.send net message;
+  Fiber.park ();
+  Process.reply_of self ~corr wait
 
 let call_name net ~self ~node ~name ?timeout ?retries payload =
   let config = Net.config net in

@@ -1,17 +1,22 @@
-type state = Running | Suspended | Finished
+open Effect.Deep
 
 type t = {
   id : int;
   name : string;
   mutable killed : bool;
-  mutable state : state;
+  mutable finished : bool;
+  mutable parked : (unit, unit) continuation option;
+  mutable waker : unit -> unit; (* [no_waker] until first asked for *)
 }
 
 exception Killed
 
 type 'a resume = ('a, exn) result -> unit
 
-type _ Effect.t += Suspend : ('a resume -> unit) -> 'a Effect.t
+(* A parked fiber keeps its own continuation, and a parking site keeps the
+   fiber, not a closure: a park allocates only the runtime's continuation
+   and the [Some] around it. *)
+type _ Effect.t += Self : t Effect.t | Park : unit Effect.t
 
 (* Fiber-id allocation must not cross simulations: a module-level ref
    would interleave ids between two engines (and race between two
@@ -27,48 +32,70 @@ let alloc_id = function
       incr cell;
       !cell
 
+let no_waker () = ()
+
+let wake fiber =
+  match fiber.parked with
+  | None -> ()
+  | Some k ->
+      fiber.parked <- None;
+      if fiber.killed then discontinue k Killed else continue k ()
+
+let waker fiber =
+  if fiber.waker == no_waker then fiber.waker <- (fun () -> wake fiber);
+  fiber.waker
+
 let spawn ?engine ?(name = "fiber") body =
-  let fiber = { id = alloc_id engine; name; killed = false; state = Running } in
-  let open Effect.Deep in
+  let fiber =
+    {
+      id = alloc_id engine;
+      name;
+      killed = false;
+      finished = false;
+      parked = None;
+      waker = no_waker;
+    }
+  in
+  (* Made once per fiber, so that handling an effect allocates nothing. *)
+  let return_self = Some (fun k -> continue k fiber) in
+  let park = Some (fun k -> fiber.parked <- Some k) in
+  let finish () = fiber.finished <- true in
   let handler =
     {
-      retc = (fun () -> fiber.state <- Finished);
-      exnc =
-        (function
-        | Killed -> fiber.state <- Finished
-        | e -> raise e);
+      retc = finish;
+      exnc = (function Killed -> finish () | e -> raise e);
       effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Suspend park ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  fiber.state <- Suspended;
-                  let resumed = ref false in
-                  let resume (result : (b, exn) result) =
-                    if not !resumed then begin
-                      resumed := true;
-                      if fiber.killed then discontinue k Killed
-                      else begin
-                        fiber.state <- Running;
-                        match result with
-                        | Ok v -> continue k v
-                        | Error e -> discontinue k e
-                      end
-                    end
-                  in
-                  park resume)
-          | _ -> None);
+        (fun (type b) (eff : b Effect.t) :
+             ((b, unit) continuation -> unit) option ->
+          match eff with Self -> return_self | Park -> park | _ -> None);
     }
   in
   match_with body () handler;
   fiber
 
-let suspend park = Effect.perform (Suspend park)
+let self () = Effect.perform Self
+
+let park () = Effect.perform Park
+
+(* A site may call [resume] synchronously, before the fiber parks, or more
+   than once: only the first outcome counts. *)
+let suspend register =
+  let fiber = self () in
+  let outcome = ref None in
+  register (fun result ->
+      if Option.is_none !outcome then begin
+        outcome := Some result;
+        wake fiber
+      end);
+  if Option.is_none !outcome then park ();
+  match !outcome with
+  | Some (Ok value) -> value
+  | Some (Error e) -> raise e
+  | None -> assert false
 
 let kill fiber = fiber.killed <- true
 
-let is_alive fiber = (not fiber.killed) && fiber.state <> Finished
+let is_alive fiber = not (fiber.killed || fiber.finished)
 
 let name fiber = fiber.name
 
@@ -77,11 +104,11 @@ let id fiber = fiber.id
 let sleep engine span =
   (* Fire-and-forget by design: the only waker is the timer itself, so no
      handle is retained. If the fiber is killed while parked, the timer
-     still fires — the resume discontinues the continuation, running its
+     still fires — the wake-up discontinues the continuation, running its
      cleanup (e.g. Fiber_mutex release) at the instant the sleep would
      have ended. Cancelling at kill time would skip that cleanup. *)
-  suspend (fun resume ->
-      Engine.post_after engine span (fun () -> resume (Ok ())))
+  Engine.post_after engine span (waker (self ()));
+  park ()
 
 let yield engine = sleep engine 0
 
@@ -115,17 +142,3 @@ let parallel_iter ?(name = "worker") ~workers f items =
       done;
       if !live > 0 then suspend (fun resume -> joiner := Some resume);
       (match !failure with Some e -> raise e | None -> ())
-
-let suspend_until engine ~timeout ~on_timeout park =
-  suspend (fun resume ->
-      let timer =
-        Engine.schedule_after engine timeout (fun () ->
-            resume (Error (on_timeout ())))
-      in
-      park (fun result ->
-          (* The winner retires the loser: no dead timeout event is left in
-             the queue to fire into the stale (already-resumed) guard.
-             Cancelling after the timer has fired is a harmless no-op, so a
-             late winner — including one racing a killed fiber — is safe. *)
-          Engine.cancel timer;
-          resume result))

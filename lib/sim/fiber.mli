@@ -2,17 +2,17 @@
 
     All sequential protocol code in the simulation — terminal programs,
     servers, commit coordinators, the suspense monitor — is written in direct
-    style inside a fiber. A fiber suspends by parking a [resume] callback
-    somewhere (a timer, a mailbox waiter list, an RPC correlation table); the
-    simulation engine later invokes the callback, and the fiber continues
-    from the suspension point at the then-current simulated time.
+    style inside a fiber. A fiber suspends by {!park}ing after leaving
+    itself somewhere (a timer, a mailbox waiter list, an RPC correlation
+    table); the simulation engine later {!wake}s it, and the fiber continues
+    from the suspension point at the then-current simulated time. The
+    continuation lives in the fiber, so a park allocates no closure.
 
     Killing models processor failure: a killed fiber never executes another
-    instruction after its current suspension point. Kill is lazy — the parked
-    [resume] is a no-op once the fiber is marked killed (the continuation is
-    discontinued to release resources). Parking sites that must wake their
-    fibers promptly on death (mailboxes) do so by resuming with
-    [Error Killed]. *)
+    instruction after its current suspension point. Kill is lazy — the
+    next wake-up discontinues the continuation with {!Killed} (releasing
+    resources) instead of resuming it. Parking sites that must wake their
+    fibers promptly on death (mailboxes) wake them at once. *)
 
 type t
 
@@ -36,9 +36,27 @@ val spawn : ?engine:Engine.t -> ?name:string -> (unit -> unit) -> t
     interleaved between simulations sharing a domain, so long-lived
     components should pass their engine. *)
 
+val self : unit -> t
+(** The calling fiber. Must be called from inside a fiber. *)
+
+val park : unit -> unit
+(** Suspend the calling fiber until {!wake}. Raises {!Killed} instead of
+    returning if the fiber was killed meanwhile. A parking site records
+    [self ()] where its waker will find it before calling [park]. *)
+
+val wake : t -> unit
+(** Resume a fiber suspended in {!park} (or {!sleep}) now, inside the
+    caller. A no-op if the fiber is not parked. Each park must have exactly
+    one waker: wake-ups are not tied to a particular park. *)
+
+val waker : t -> unit -> unit
+(** [waker t] is [fun () -> wake t], made on first use and then kept, so
+    arming a timer on a fiber allocates no closure. *)
+
 val suspend : ('a resume -> unit) -> 'a
-(** [suspend park] parks the calling fiber; [park] receives the resume
-    callback. Must be called from inside a fiber. *)
+(** [suspend register] parks the calling fiber; [register] receives the
+    resume callback, which may be called once the fiber has parked or
+    synchronously, inside [register]. Must be called from inside a fiber. *)
 
 val kill : t -> unit
 (** Mark the fiber dead. Idempotent. *)
@@ -65,18 +83,3 @@ val parallel_iter :
     yields the same interleaving. If some [f] raises, the queue still
     drains, and the first exception (in completion order) is re-raised to
     the caller at the join. *)
-
-val suspend_until :
-  Engine.t ->
-  timeout:Sim_time.span ->
-  on_timeout:(unit -> exn) ->
-  ('a resume -> unit) ->
-  'a
-(** [suspend_until engine ~timeout ~on_timeout park] is {!suspend} with an
-    armed deadline: if nothing resumes the fiber within [timeout], it is
-    resumed with [Error (on_timeout ())] ([on_timeout] may run loser
-    cleanup, e.g. dropping a correlation-table entry, before producing the
-    exception). A resume arriving first cancels the timer, so winning a
-    race-style wait leaves no dead event in the queue. The timer is
-    scheduled before [park] runs — the event order is identical to parking
-    code that armed its own timer first. *)

@@ -12,11 +12,12 @@ let get t i =
 
 let reserve t x =
   let capacity = Array.length t.data in
-  if t.size >= capacity then begin
-    let data = Array.make (max 16 (2 * capacity)) x in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+  if capacity = 0 then t.data <- Array.make 16 x
+  else if t.size >= capacity then
+    (* Doubling by [Array.append], not [Array.make] + blit: [Array.make]
+       past 256 words forces a minor collection when its fill value is
+       young, as the element being pushed usually is. *)
+    t.data <- Array.append t.data t.data
 
 let push t x =
   reserve t x;

@@ -82,6 +82,50 @@ let prop_integer_text_matches_stdlib =
       Record.int_text n = string_of_int n
       && Key.of_int n = Printf.sprintf "%012d" n)
 
+(* [field] and [int_field] scan in place; they must answer as lookups in
+   the decoded list do, and raise what [decode] raises. Payloads are
+   encoded records (names drawn from a few, values often numeric), cut or
+   spliced at random to reach every malformed case. *)
+let prop_record_lookup_matches_decode =
+  let name = QCheck.Gen.oneofl [ ""; "a"; "ab"; "balance"; "1:" ] in
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          map string_of_int int;
+          oneofl
+            [
+              ""; "-"; "+5"; "-0"; "007"; "0x1f"; "1_000";
+              "9999999999999999999"; "99999999999999999999";
+            ];
+          string_size ~gen:(oneofl [ '0'; '9'; ':'; 'a'; '-' ]) (0 -- 6);
+        ])
+  in
+  let payload =
+    QCheck.Gen.(
+      map3
+        (fun fields cut junk ->
+          let encoded = Record.encode fields in
+          match cut with
+          | None -> encoded
+          | Some at ->
+              let at = at mod (String.length encoded + 1) in
+              String.sub encoded 0 at ^ junk)
+        (list_size (0 -- 5) (pair name value))
+        (opt (0 -- 200))
+        (string_size ~gen:(oneofl [ '1'; ':'; 'x' ]) (0 -- 3)))
+  in
+  let outcome f = try Ok (f ()) with Invalid_argument m -> Error m in
+  QCheck.Test.make ~name:"field/int_field = lookup in decode" ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair string string)
+       QCheck.Gen.(pair payload name))
+    (fun (payload, name) ->
+      let decoded () = List.assoc_opt name (Record.decode payload) in
+      outcome (fun () -> Record.field payload name) = outcome decoded
+      && outcome (fun () -> Record.int_field payload name)
+         = outcome (fun () -> Option.bind (decoded ()) int_of_string_opt))
+
 let test_record_nested_encoding () =
   (* A whole encoded record carried inside a field of another. *)
   let inner = Record.encode [ ("descr", "rev B"); ("master", "2") ] in
@@ -768,7 +812,12 @@ let () =
           Alcotest.test_case "nested encoding" `Quick test_record_nested_encoding;
           Alcotest.test_case "malformed rejected" `Quick test_record_malformed_rejected;
         ]
-        @ qcheck [ prop_record_codec_matches_reference; prop_integer_text_matches_stdlib ] );
+        @ qcheck
+            [
+              prop_record_codec_matches_reference;
+              prop_integer_text_matches_stdlib;
+              prop_record_lookup_matches_decode;
+            ] );
       ( "store",
         [
           Alcotest.test_case "alloc read write" `Quick test_store_alloc_read_write;

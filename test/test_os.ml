@@ -85,6 +85,31 @@ let test_rpc_timeout_on_dead_destination () =
   | Some (Error `Timeout) -> ()
   | _ -> Alcotest.fail "expected timeout")
 
+let test_rpc_reply_cancels_timeout () =
+  (* The reply wins the race: the call returns at the reply's arrival and
+     its timeout event is cancelled, not left to fire into a finished
+     wait. *)
+  let net = make_net () in
+  let engine = Net.engine net in
+  let node = Net.node net 1 in
+  let server = Node.spawn node ~cpu:0 (fun p -> echo_server p net) in
+  let result = ref None in
+  ignore
+    (Node.spawn node ~cpu:1 (fun process ->
+         match
+           Rpc.call net ~self:process ~dst:(Process.pid server)
+             ~timeout:(Sim_time.seconds 1) (Echo "hi")
+         with
+         | Ok (Echoed text) -> result := Some (text, Engine.now engine)
+         | _ -> Alcotest.fail "expected the echo"));
+  Engine.run engine;
+  Alcotest.(check (option (pair string int)))
+    "woken by the reply, two bus hops in"
+    (Some ("hi", 2 * Hw_config.default.Hw_config.bus_latency))
+    !result;
+  check_int "timeout event cancelled" 1 (Engine.events_cancelled engine);
+  check_int "nothing pending" 0 (Engine.pending engine)
+
 let test_cross_node_rpc () =
   let net = make_net ~nodes:3 () in
   let node1 = Net.node net 1 and node3 = Net.node net 3 in
@@ -299,6 +324,67 @@ let test_cpu_consume_serializes () =
     "fifo service"
     [ 10_000; 20_000; 30_000 ]
     (List.rev !finish_times)
+
+(* Finished fibers must not accumulate in their process: the process
+   record stays the same size however many short fibers it has run, and
+   a live fiber spawned before them is still killed with the process. *)
+let test_finished_fibers_dropped () =
+  let net = make_net () in
+  let node = Net.node net 1 in
+  let process = Node.spawn node ~cpu:0 (fun _ -> ()) in
+  let sleeper_woke = ref false in
+  Process.spawn_fiber process (fun () ->
+      Fiber.sleep (Net.engine net) 1_000;
+      sleeper_woke := true);
+  let run_fibers n =
+    for _ = 1 to n do
+      Process.spawn_fiber process (fun () -> ())
+    done;
+    Obj.reachable_words (Obj.repr process)
+  in
+  let before = run_fibers 100 in
+  let after = run_fibers 10_000 in
+  check_bool
+    (Printf.sprintf "reachable words bounded (%d after 100, %d after 10,100)"
+       before after)
+    true
+    (after < before + 1_000);
+  Process.kill process;
+  Engine.run (Net.engine net);
+  check_bool "live fiber killed" false !sleeper_woke
+
+let test_receive_allocation () =
+  let net = make_net () in
+  let node = Net.node net 1 in
+  let words = ref 0 in
+  ignore
+    (Node.spawn node ~cpu:0 (fun process ->
+         let note =
+           Message.oneway ~src:(Process.pid process) ~dst:(Process.pid process)
+             (Note 1)
+         in
+         let deliver () = Process.deliver process note in
+         words :=
+           Alloc_probe.words_per_cycle (fun () ->
+               Engine.post_after (Net.engine net) 1 deliver;
+               ignore (Process.receive process))));
+  Engine.run (Net.engine net);
+  check_int "minor words per mailbox receive" 17 !words
+
+let test_rpc_allocation () =
+  let net = make_net () in
+  let node = Net.node net 1 in
+  let server = Node.spawn node ~cpu:0 (fun p -> echo_server p net) in
+  let words = ref 0 in
+  ignore
+    (Node.spawn node ~cpu:1 (fun process ->
+         let echo = Echo "hi" in
+         words :=
+           Alloc_probe.words_per_cycle (fun () ->
+               ignore
+                 (Rpc.call net ~self:process ~dst:(Process.pid server) echo))));
+  Engine.run (Net.engine net);
+  check_int "minor words per echo round trip" 66 !words
 
 (* Property: best-path routing agrees with a Floyd–Warshall reference on
    random topologies with random link failures. *)
@@ -516,7 +602,11 @@ let () =
           Alcotest.test_case "local delivery" `Quick test_local_message_delivery;
           Alcotest.test_case "rpc round trip" `Quick test_rpc_round_trip;
           Alcotest.test_case "rpc timeout" `Quick test_rpc_timeout_on_dead_destination;
+          Alcotest.test_case "rpc reply cancels timeout" `Quick
+            test_rpc_reply_cancels_timeout;
           Alcotest.test_case "cross-node rpc" `Quick test_cross_node_rpc;
+          Alcotest.test_case "receive allocation" `Quick test_receive_allocation;
+          Alcotest.test_case "rpc allocation" `Quick test_rpc_allocation;
         ] );
       ( "network",
         [
@@ -538,6 +628,8 @@ let () =
           Alcotest.test_case "dual bus redundancy" `Quick
             test_both_buses_down_drops_cross_cpu_traffic;
           Alcotest.test_case "cpu fifo service" `Quick test_cpu_consume_serializes;
+          Alcotest.test_case "finished fibers dropped" `Quick
+            test_finished_fibers_dropped;
         ] );
       ( "process_pair",
         [

@@ -428,53 +428,29 @@ let test_fiber_exception_escapes () =
   Alcotest.check_raises "exception escapes to scheduler"
     (Failure "boom") (fun () -> Engine.run engine)
 
-exception Waited_out
-
-let test_suspend_until_winner_cancels_timer () =
+let test_fiber_park_wake () =
+  (* A fiber parks on its own waker armed as a timer; a second wake-up of
+     the finished park is a no-op, and a killed fiber's wake-up
+     discontinues it instead of resuming. *)
   let engine = Engine.create () in
-  let parked = ref None in
-  let result = ref None in
-  let timed_out = ref false in
-  ignore
-    (Fiber.spawn (fun () ->
-         let value =
-           Fiber.suspend_until engine ~timeout:100
-             ~on_timeout:(fun () ->
-               timed_out := true;
-               Waited_out)
-             (fun resume -> parked := Some resume)
-         in
-         result := Some (value, Engine.now engine)));
-  ignore
-    (Engine.schedule_at engine 40 (fun () ->
-         match !parked with
-         | Some resume -> resume (Ok "reply")
-         | None -> Alcotest.fail "fiber never parked"));
+  let woken = ref None and after_kill = ref false in
+  let sleeper =
+    Fiber.spawn ~engine (fun () ->
+        let self = Fiber.self () in
+        Engine.post_after engine 100 (Fiber.waker self);
+        Fiber.park ();
+        woken := Some (Engine.now engine);
+        Fiber.wake self;
+        Fiber.park ();
+        after_kill := true)
+  in
   Engine.run engine;
-  Alcotest.(check (option (pair string int)))
-    "woken by the reply at its time"
-    (Some ("reply", 40))
-    !result;
-  check_bool "loser cleanup did not run" false !timed_out;
-  (* The winning resume must cancel the timer, not leave it to fire into
-     a dead continuation. *)
-  check_int "timeout event cancelled" 1 (Engine.events_cancelled engine);
-  check_int "nothing pending" 0 (Engine.pending engine)
-
-let test_suspend_until_times_out () =
-  let engine = Engine.create () in
-  let outcome = ref None in
-  ignore
-    (Fiber.spawn (fun () ->
-         match
-           Fiber.suspend_until engine ~timeout:100
-             ~on_timeout:(fun () -> Waited_out)
-             (fun _resume -> ())
-         with
-         | (_ : string) -> Alcotest.fail "must not produce a value"
-         | exception Waited_out -> outcome := Some (Engine.now engine)));
-  Engine.run engine;
-  Alcotest.(check (option int)) "timed out at the deadline" (Some 100) !outcome
+  Alcotest.(check (option int)) "woken by its timer" (Some 100) !woken;
+  check_bool "parked again" true (Fiber.is_alive sleeper);
+  Fiber.kill sleeper;
+  Fiber.wake sleeper;
+  check_bool "killed fiber not resumed" false !after_kill;
+  check_bool "killed fiber finished" false (Fiber.is_alive sleeper)
 
 (* ------------------------------------------------------------------ *)
 (* Trace and Metrics *)
@@ -701,6 +677,30 @@ let test_fiber_ids_per_engine () =
   Alcotest.(check (list int))
     "interleaved second engine identical" [ 1; 2; 3; 4; 5 ] (List.rev !ids_b)
 
+(* Growing a vector past 256 words must not force a minor collection
+   (Array.make does when its fill value is young). The minor heap is
+   emptied first and the pushes allocate a few thousand words, far below
+   its size, so any collection here is a forced one. *)
+let test_vec_growth_forces_no_minor_gc () =
+  let vec = Vec.create () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 1 to 1000 do
+    Vec.push vec (ref i)
+  done;
+  check_int "minor collections while growing to 1,024 slots" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - before);
+  check_int "contents kept" 1000 !(Vec.get vec 999)
+
+let test_fiber_sleep_allocation () =
+  let engine = Engine.create () in
+  let words = ref 0 in
+  ignore
+    (Fiber.spawn ~engine (fun () ->
+         words := Alloc_probe.words_per_cycle (fun () -> Fiber.sleep engine 1)));
+  Engine.run engine;
+  check_int "minor words per sleep cycle" 6 !words
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "tandem_sim"
@@ -738,12 +738,16 @@ let () =
           Alcotest.test_case "kill stops execution" `Quick test_fiber_kill_stops_execution;
           Alcotest.test_case "resume once" `Quick test_fiber_resume_once;
           Alcotest.test_case "exception escapes" `Quick test_fiber_exception_escapes;
-          Alcotest.test_case "suspend_until winner cancels timer" `Quick
-            test_suspend_until_winner_cancels_timer;
-          Alcotest.test_case "suspend_until times out" `Quick
-            test_suspend_until_times_out;
+          Alcotest.test_case "park and wake" `Quick test_fiber_park_wake;
           Alcotest.test_case "ids are per engine" `Quick
             test_fiber_ids_per_engine;
+          Alcotest.test_case "sleep allocation" `Quick
+            test_fiber_sleep_allocation;
+        ] );
+      ( "vec",
+        [
+          Alcotest.test_case "growth forces no minor collection" `Quick
+            test_vec_growth_forces_no_minor_gc;
         ] );
       ( "domain_pool",
         [
