@@ -739,6 +739,8 @@ let chaos_summary_table reports =
 let run_chaos list_only scenario_name seeds quick show_schedule
     verify_determinism summary_path jobs =
   let open Tandem_chaos in
+  (* A run that raises is reported with the backtrace of its raise. *)
+  Printexc.record_backtrace true;
   if list_only then begin
     chaos_list ();
     0

@@ -20,7 +20,19 @@ type t = {
   run : seed:int -> quick:bool -> report;
 }
 
-let run t ~seed ~quick = t.run ~seed ~quick
+(* A run that raises is that run's FAIL row, not the end of the matrix. *)
+let run t ~seed ~quick =
+  try t.run ~seed ~quick
+  with exn ->
+    let backtrace =
+      Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+    in
+    let detail = String.trim (Printexc.to_string exn ^ "\n" ^ backtrace) in
+    let check = { Checker.name = "no-exception"; passed = false; detail } in
+    { scenario = t.name; seed; quick; schedule = "(the run raised)";
+      faults = 0; fault_kinds = []; committed = 0; restarts = 0; failures = 0;
+      events = 0; verdict = { checks = [ check ]; passed = false };
+      metrics = Tandem_sim.Json.Null }
 
 let passed report = report.verdict.Checker.passed
 

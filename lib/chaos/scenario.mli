@@ -35,6 +35,8 @@ type t = {
 }
 
 val run : t -> seed:int -> quick:bool -> report
+(** A run that raises reports one failed [no-exception] check naming the
+    exception and its backtrace (if backtraces are being recorded). *)
 
 val passed : report -> bool
 

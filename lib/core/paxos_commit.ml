@@ -29,8 +29,7 @@ let quorum_of acceptors = (List.length acceptors / 2) + 1
 let fanout net ~self ~acceptors ~transid payload =
   let own = Cpu.node (Process.cpu self) in
   let results = ref [] in
-  let remaining = ref (List.length acceptors) in
-  let waker = ref None in
+  let replied = Fiber.join (List.length acceptors) in
   List.iter
     (fun acceptor ->
       Process.spawn_fiber self (fun () ->
@@ -48,15 +47,9 @@ let fanout net ~self ~acceptors ~transid payload =
                  results := (acceptor, reply) :: !results
              | Error _ -> ()
            end);
-          decr remaining;
-          if !remaining = 0 then
-            match !waker with
-            | Some resume ->
-                waker := None;
-                resume (Ok ())
-            | None -> ()))
+          Fiber.arrive replied))
     acceptors;
-  if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
+  Fiber.await replied;
   List.rev !results
 
 (* ------------------------------------------------------------------ *)

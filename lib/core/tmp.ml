@@ -195,21 +195,14 @@ let rec retry_loop t process =
         | Ok Ack -> ()
         | Ok _ | Error _ -> kept.(index) <- true
     in
-    let remaining = ref (Array.length entries) in
-    let waker = ref None in
+    let delivered = Fiber.join (Array.length entries) in
     Array.iteri
       (fun index entry ->
         Process.spawn_fiber process (fun () ->
             deliver index entry;
-            decr remaining;
-            if !remaining = 0 then
-              match !waker with
-              | Some resume ->
-                  waker := None;
-                  resume (Ok ())
-              | None -> ()))
+            Fiber.arrive delivered))
       entries;
-    if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
+    Fiber.await delivered;
     (* Requeue survivors (in their original relative order) ahead of entries
        queued during the pass — no fiber suspension between building and
        installing the new queue. *)
@@ -492,8 +485,7 @@ let prepare_children t ~self info =
       | [] -> Ok ()
       | children ->
           let failure = ref None in
-          let remaining = ref (List.length children) in
-          let waker = ref None in
+          let voted = Fiber.join (List.length children) in
           List.iter
             (fun child ->
               Process.spawn_fiber self (fun () ->
@@ -502,16 +494,9 @@ let prepare_children t ~self info =
                   | Ok `Read_only -> read_only := child :: !read_only
                   | Error message ->
                       if !failure = None then failure := Some message);
-                  decr remaining;
-                  if !remaining = 0 then
-                    match !waker with
-                    | Some resume ->
-                        waker := None;
-                        resume (Ok ())
-                    | None -> ()))
+                  Fiber.arrive voted))
             children;
-          if !remaining > 0 then
-            Fiber.suspend (fun resume -> waker := Some resume);
+          Fiber.await voted;
           (match !failure with Some message -> Error message | None -> Ok ())
     end
   in

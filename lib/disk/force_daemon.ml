@@ -3,8 +3,8 @@ open Tandem_sim
 type t = {
   volume : Volume.t;
   window : Sim_time.span;
-  mutable wishes : unit Fiber.resume Queue.t; (* oldest first *)
-  mutable kick : unit Fiber.resume option;
+  mutable wishes : Fiber.t Queue.t; (* parked forcers, oldest first *)
+  mutable kick : Fiber.t option; (* the daemon, parked for a first wish *)
   mutable ios : int;
 }
 
@@ -25,8 +25,10 @@ let create ?(window = 0) volume =
   ignore
     (Fiber.spawn ~engine ~name:("force-daemon:" ^ Volume.name volume) (fun () ->
          let rec loop () =
-           (if Queue.is_empty t.wishes then
-              Fiber.suspend (fun resume -> t.kick <- Some resume));
+           if Queue.is_empty t.wishes then begin
+             t.kick <- Some (Fiber.self ());
+             Fiber.park ()
+           end;
            (* Group-commit window: linger after the first wish so wishes
               arriving just apart still share one physical write. *)
            if t.window > 0 then Fiber.sleep engine t.window;
@@ -42,20 +44,22 @@ let create ?(window = 0) volume =
              Metrics.observe
                (Metrics.sample metrics "disk.force_batch_size")
                (float_of_int size);
-             Queue.iter (fun resume -> resume (Ok ())) batch
+             Queue.iter Fiber.wake batch
            end;
            loop ()
          in
          loop ()));
   t
 
+(* A kicked daemon runs until it parks in its window sleep or its write,
+   so it wakes this wish only after the park below. *)
 let force t =
-  Fiber.suspend (fun resume ->
-      Queue.add resume t.wishes;
-      match t.kick with
-      | Some kick ->
-          t.kick <- None;
-          kick (Ok ())
-      | None -> ())
+  Queue.add (Fiber.self ()) t.wishes;
+  (match t.kick with
+  | Some daemon ->
+      t.kick <- None;
+      Fiber.wake daemon
+  | None -> ());
+  Fiber.park ()
 
 let physical_forces t = t.ios

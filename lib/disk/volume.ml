@@ -90,18 +90,15 @@ let write_mirrors t =
   match up_drives t with
   | [ only ] -> Drive.io only
   | [ a; b ] ->
-      let remaining = ref 2 in
-      let finish = ref (fun () -> ()) in
+      let both = Fiber.join 2 in
       List.iter
         (fun drive ->
           ignore
             (Fiber.spawn ~engine:t.engine (fun () ->
                  Drive.io drive;
-                 decr remaining;
-                 if !remaining = 0 then !finish ())))
+                 Fiber.arrive both)))
         [ a; b ];
-      if !remaining > 0 then
-        Fiber.suspend (fun resume -> finish := fun () -> resume (Ok ()))
+      Fiber.await both
   | _ -> assert false
 
 let write_io t =

@@ -5,7 +5,7 @@ open Screen_program
 type terminal = {
   index : int;
   queue : string Queue.t;
-  mutable waiter : unit Fiber.resume option;
+  mutable waiter : Fiber.t option; (* parked in next_input *)
   mutable current_input : string option; (* checkpointed screen data *)
   mutable current_transid : Tmf.Transid.t option;
   mutable output : string option;
@@ -184,7 +184,8 @@ let rec next_input term =
   match Queue.take_opt term.queue with
   | Some input -> input
   | None ->
-      Fiber.suspend (fun resume -> term.waiter <- Some resume);
+      term.waiter <- Some (Fiber.self ());
+      Fiber.park ();
       next_input term
 
 let rec terminal_loop t term process =
@@ -270,9 +271,9 @@ let submit t ~terminal input =
   let term = t.terminals.(terminal) in
   Queue.add input term.queue;
   match term.waiter with
-  | Some resume ->
+  | Some waiter ->
       term.waiter <- None;
-      resume (Ok ())
+      Fiber.wake waiter
   | None -> ()
 
 let terminal_count t = Array.length t.terminals

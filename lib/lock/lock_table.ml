@@ -15,8 +15,9 @@ let file_of_resource = function
 type waiter = {
   wait_owner : Transid.t;
   resource : resource;
-  resume : [ `Granted | `Timeout ] Fiber.resume;
+  fiber : Fiber.t; (* parked in acquire *)
   mutable pending : bool;
+  mutable granted : bool; (* false when the timeout woke it *)
   mutable timer : Engine.handle option;
 }
 
@@ -147,7 +148,8 @@ let wake_grantable t files =
                   | None -> ());
                   grant t ~owner:waiter.wait_owner waiter.resource;
                   Metrics.incr (Lazy.force t.grants_after_wait);
-                  waiter.resume (Ok `Granted)
+                  waiter.granted <- true;
+                  Fiber.wake waiter.fiber
                 end
                 else Queue.add waiter queue
           done;
@@ -178,21 +180,23 @@ let acquire t ~owner ~timeout resource =
     (match t.spans with
     | Some spans -> Span.incr_lock_waits spans owner
     | None -> ());
-    Fiber.suspend (fun resume ->
-        let waiter =
-          { wait_owner = owner; resource; resume; pending = true; timer = None }
-        in
-        waiter.timer <-
-          Some
-            (Engine.schedule_after t.engine timeout (fun () ->
-                 if waiter.pending then begin
-                   (* Stays queued; wake_grantable discards it lazily. *)
-                   waiter.pending <- false;
-                   t.waiting <- t.waiting - 1;
-                   Metrics.incr (Lazy.force t.timeouts);
-                   resume (Ok `Timeout)
-                 end));
-        enqueue_waiter t waiter)
+    let waiter =
+      { wait_owner = owner; resource; fiber = Fiber.self (); pending = true;
+        granted = false; timer = None }
+    in
+    waiter.timer <-
+      Some
+        (Engine.schedule_after t.engine timeout (fun () ->
+             if waiter.pending then begin
+               (* Stays queued; wake_grantable discards it lazily. *)
+               waiter.pending <- false;
+               t.waiting <- t.waiting - 1;
+               Metrics.incr (Lazy.force t.timeouts);
+               Fiber.wake waiter.fiber
+             end));
+    enqueue_waiter t waiter;
+    Fiber.park ();
+    if waiter.granted then `Granted else `Timeout
   end
 
 let try_acquire t ~owner resource =

@@ -11,8 +11,6 @@ type t = {
 
 exception Killed
 
-type 'a resume = ('a, exn) result -> unit
-
 (* A parked fiber keeps its own continuation, and a parking site keeps the
    fiber, not a closure: a park allocates only the runtime's continuation
    and the [Some] around it. *)
@@ -63,7 +61,10 @@ let spawn ?engine ?(name = "fiber") body =
   let handler =
     {
       retc = finish;
-      exnc = (function Killed -> finish () | e -> raise e);
+      exnc =
+        (function
+        | Killed -> finish ()
+        | e -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
       effc =
         (fun (type b) (eff : b Effect.t) :
              ((b, unit) continuation -> unit) option ->
@@ -76,22 +77,6 @@ let spawn ?engine ?(name = "fiber") body =
 let self () = Effect.perform Self
 
 let park () = Effect.perform Park
-
-(* A site may call [resume] synchronously, before the fiber parks, or more
-   than once: only the first outcome counts. *)
-let suspend register =
-  let fiber = self () in
-  let outcome = ref None in
-  register (fun result ->
-      if Option.is_none !outcome then begin
-        outcome := Some result;
-        wake fiber
-      end);
-  if Option.is_none !outcome then park ();
-  match !outcome with
-  | Some (Ok value) -> value
-  | Some (Error e) -> raise e
-  | None -> assert false
 
 let kill fiber = fiber.killed <- true
 
@@ -110,7 +95,19 @@ let sleep engine span =
   Engine.post_after engine span (waker (self ()));
   park ()
 
-let yield engine = sleep engine 0
+type join = { mutable remaining : int; mutable waiter : t option }
+
+let join children = { remaining = children; waiter = None }
+
+let arrive join =
+  join.remaining <- join.remaining - 1;
+  if join.remaining = 0 then Option.iter wake join.waiter
+
+let await join =
+  if join.remaining > 0 then begin
+    join.waiter <- Some (self ());
+    park ()
+  end
 
 let parallel_iter ?(name = "worker") ~workers f items =
   match items with
@@ -120,9 +117,8 @@ let parallel_iter ?(name = "worker") ~workers f items =
       let queue = Queue.create () in
       List.iter (fun item -> Queue.add item queue) items;
       let pool = max 1 (min workers (Queue.length queue)) in
-      let live = ref pool in
+      let drained = join pool in
       let failure = ref None in
-      let joiner = ref None in
       let body () =
         let rec drain () =
           match Queue.take_opt queue with
@@ -133,12 +129,10 @@ let parallel_iter ?(name = "worker") ~workers f items =
               drain ()
         in
         drain ();
-        decr live;
-        if !live = 0 then
-          match !joiner with None -> () | Some resume -> resume (Ok ())
+        arrive drained
       in
       for i = 1 to pool do
         ignore (spawn ~name:(Printf.sprintf "%s-%d" name i) body)
       done;
-      if !live > 0 then suspend (fun resume -> joiner := Some resume);
+      await drained;
       (match !failure with Some e -> raise e | None -> ())

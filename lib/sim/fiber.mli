@@ -2,11 +2,13 @@
 
     All sequential protocol code in the simulation — terminal programs,
     servers, commit coordinators, the suspense monitor — is written in direct
-    style inside a fiber. A fiber suspends by {!park}ing after leaving
-    itself somewhere (a timer, a mailbox waiter list, an RPC correlation
-    table); the simulation engine later {!wake}s it, and the fiber continues
-    from the suspension point at the then-current simulated time. The
-    continuation lives in the fiber, so a park allocates no closure.
+    style inside a fiber. Every wait is one {!park} after the fiber leaves
+    itself where its waker will find it: a timer, a mailbox waiter list, an
+    RPC correlation table, a lock or mutex queue, a force-wish queue, a
+    terminal's input slot or a {!join}. The waker stores whatever the fiber
+    should learn (a grant, a reply) before it {!wake}s the fiber, which then
+    continues from the suspension point at the then-current simulated time.
+    The continuation lives in the fiber, so a park allocates no closure.
 
     Killing models processor failure: a killed fiber never executes another
     instruction after its current suspension point. Kill is lazy — the
@@ -20,15 +22,11 @@ exception Killed
 (** Raised inside a fiber that is resumed after being killed; normally
     invisible to fiber code (the runner swallows it). *)
 
-type 'a resume = ('a, exn) result -> unit
-(** Completion callback handed to a parking site. Calling it more than once
-    is safe: only the first call has effect. *)
-
 val spawn : ?engine:Engine.t -> ?name:string -> (unit -> unit) -> t
 (** [spawn body] starts a fiber executing [body] immediately (until its first
     suspension). An exception escaping [body] other than {!Killed} is
-    re-raised to the scheduler — simulations are expected to be
-    exception-free, so this aborts the run loudly.
+    re-raised, with its original backtrace, to the scheduler — simulations
+    are expected to be exception-free, so this aborts the run loudly.
 
     [engine] scopes the fiber's {!id} to that engine's simulation (each
     engine hands out the dense sequence 1, 2, 3, …). Without it, ids come
@@ -53,11 +51,6 @@ val waker : t -> unit -> unit
 (** [waker t] is [fun () -> wake t], made on first use and then kept, so
     arming a timer on a fiber allocates no closure. *)
 
-val suspend : ('a resume -> unit) -> 'a
-(** [suspend register] parks the calling fiber; [register] receives the
-    resume callback, which may be called once the fiber has parked or
-    synchronously, inside [register]. Must be called from inside a fiber. *)
-
 val kill : t -> unit
 (** Mark the fiber dead. Idempotent. *)
 
@@ -70,8 +63,18 @@ val id : t -> int
 val sleep : Engine.t -> Sim_time.span -> unit
 (** Suspend the calling fiber for a simulated duration. *)
 
-val yield : Engine.t -> unit
-(** Suspend and resume at the same instant, after already-queued events. *)
+type join
+(** A fork/join countdown: [join n] expects [n] children to {!arrive} once
+    each; one parent fiber {!await}s them. *)
+
+val join : int -> join
+
+val arrive : join -> unit
+(** The last arrival wakes the parent, inside the arriving fiber. *)
+
+val await : join -> unit
+(** Park until every child has arrived (at once if all have). Raises
+    {!Killed} at the wake if the parent was killed meanwhile. *)
 
 val parallel_iter :
   ?name:string -> workers:int -> ('a -> unit) -> 'a list -> unit

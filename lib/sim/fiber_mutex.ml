@@ -1,6 +1,6 @@
 type t = {
   mutable held : bool;
-  queue : unit Fiber.resume Queue.t; (* oldest first *)
+  queue : Fiber.t Queue.t; (* parked waiters, oldest first *)
 }
 
 let create () = { held = false; queue = Queue.create () }
@@ -8,7 +8,8 @@ let create () = { held = false; queue = Queue.create () }
 let rec lock t =
   if not t.held then t.held <- true
   else begin
-    match Fiber.suspend (fun resume -> Queue.add resume t.queue) with
+    Queue.add (Fiber.self ()) t.queue;
+    match Fiber.park () with
     | () -> ()
     | exception e ->
         (* Ownership was handed to this fiber as it was being killed: pass
@@ -21,9 +22,9 @@ and unlock t =
   if not t.held then invalid_arg "Fiber_mutex.unlock: not locked";
   match Queue.take_opt t.queue with
   | None -> t.held <- false
-  | Some resume ->
+  | Some waiter ->
       (* Ownership passes directly to the next waiter. *)
-      resume (Ok ())
+      Fiber.wake waiter
 
 let with_lock t f =
   lock t;
@@ -36,5 +37,3 @@ let with_lock t f =
       raise e
 
 let locked t = t.held
-
-let waiters t = Queue.length t.queue

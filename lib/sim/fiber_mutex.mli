@@ -23,5 +23,3 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] runs [f] under the mutex, releasing on any exit. *)
 
 val locked : t -> bool
-
-val waiters : t -> int

@@ -210,6 +210,28 @@ let test_checker_detects_corruption () =
   if funds.Tandem_chaos.Checker.passed then
     Alcotest.fail "funds-conserved missed injected funds"
 
+(* A run that raises becomes its own FAIL report; it must not escape and
+   take the rest of the matrix with it. *)
+let test_raising_run_fails () =
+  let raising =
+    {
+      Scenario.name = "raises";
+      description = "raises before reporting";
+      paper = "none";
+      run = (fun ~seed:_ ~quick:_ -> raise Not_found);
+    }
+  in
+  let report = Scenario.run raising ~seed:16 ~quick:true in
+  Alcotest.(check bool) "run failed" false (Scenario.passed report);
+  Alcotest.(check int) "seed kept" 16 report.Scenario.seed;
+  match report.Scenario.verdict.Checker.checks with
+  | [ check ] ->
+      Alcotest.(check string) "check" "no-exception" check.Checker.name;
+      if not (contains check.Checker.detail "Not_found") then
+        Alcotest.failf "detail does not name the exception: %S"
+          check.Checker.detail
+  | checks -> Alcotest.failf "expected one check, got %d" (List.length checks)
+
 (* ------------------------------------------------------------------ *)
 (* The whole quick matrix, every scenario at one seed. *)
 
@@ -248,6 +270,8 @@ let () =
         [
           Alcotest.test_case "detects corruption" `Quick
             test_checker_detects_corruption;
+          Alcotest.test_case "raising run is a failed check" `Quick
+            test_raising_run_fails;
         ] );
       ( "matrix",
         [

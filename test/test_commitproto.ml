@@ -210,8 +210,7 @@ let send_concurrently cluster ~node ~to_node payloads =
   let replies = Array.make (List.length payloads) None in
   let finished = ref false in
   Cluster.run_client cluster ~node ~cpu:1 (fun self ->
-      let remaining = ref (List.length payloads) in
-      let waker = ref None in
+      let replied = Fiber.join (List.length payloads) in
       List.iteri
         (fun i payload ->
           Process.spawn_fiber self (fun () ->
@@ -221,15 +220,9 @@ let send_concurrently cluster ~node ~to_node payloads =
                with
               | Ok reply -> replies.(i) <- Some reply
               | Error _ -> ());
-              decr remaining;
-              if !remaining = 0 then
-                match !waker with
-                | Some resume ->
-                    waker := None;
-                    resume (Ok ())
-                | None -> ()))
+              Fiber.arrive replied))
         payloads;
-      if !remaining > 0 then Fiber.suspend (fun resume -> waker := Some resume);
+      Fiber.await replied;
       finished := true);
   let rec pump budget =
     if (not !finished) && budget > 0 then begin

@@ -403,22 +403,71 @@ let test_fiber_kill_stops_execution () =
   check_int "no progress after kill" 1 !progressed;
   check_bool "fiber reported dead" false (Fiber.is_alive fiber)
 
-let test_fiber_resume_once () =
-  (* A parking site that calls resume twice must have no double effect. *)
-  let engine = Engine.create () in
-  let resumes = ref [] in
-  let hits = ref 0 in
+(* Fiber.join: the parent parks only while children remain, and the last
+   arrival wakes it inside the arriving child. *)
+
+let test_join_zero_children () =
+  let returned = ref false in
   ignore
     (Fiber.spawn (fun () ->
-         Fiber.suspend (fun resume -> resumes := resume :: !resumes);
-         incr hits));
+         Fiber.await (Fiber.join 0);
+         returned := true));
+  check_bool "await of no children returns at once" true !returned
+
+let test_join_children_done_first () =
+  let engine = Engine.create () in
+  let returned = ref false in
+  ignore
+    (Fiber.spawn ~engine (fun () ->
+         let children = Fiber.join 3 in
+         for _ = 1 to 3 do
+           ignore (Fiber.spawn ~engine (fun () -> Fiber.arrive children))
+         done;
+         Fiber.await children;
+         returned := true));
+  (* Had it parked, no later arrival would have woken it. *)
+  check_bool "returned without parking" true !returned
+
+let test_join_children_done_later () =
+  let engine = Engine.create () in
+  let joined_at = ref None in
+  ignore
+    (Fiber.spawn ~engine (fun () ->
+         let children = Fiber.join 3 in
+         List.iter
+           (fun delay ->
+             ignore
+               (Fiber.spawn ~engine (fun () ->
+                    Fiber.sleep engine delay;
+                    Fiber.arrive children)))
+           [ 20; 30; 10 ];
+         Fiber.await children;
+         joined_at := Some (Engine.now engine)));
+  check_bool "parked while children remain" true (!joined_at = None);
   Engine.run engine;
-  (match !resumes with
-  | [ resume ] ->
-      resume (Ok ());
-      resume (Ok ())
-  | _ -> Alcotest.fail "expected one parked resume");
-  check_int "resumed exactly once" 1 !hits
+  Alcotest.(check (option int)) "woken by the last arrival" (Some 30) !joined_at
+
+let test_join_killed_waiter () =
+  let engine = Engine.create () in
+  let outcome = ref "parked" in
+  let waiter =
+    Fiber.spawn ~engine (fun () ->
+        let children = Fiber.join 2 in
+        List.iter
+          (fun delay ->
+            ignore
+              (Fiber.spawn ~engine (fun () ->
+                   Fiber.sleep engine delay;
+                   Fiber.arrive children)))
+          [ 10; 20 ];
+        match Fiber.await children with
+        | () -> outcome := "returned"
+        | exception Fiber.Killed ->
+            outcome := Printf.sprintf "killed at %d" (Engine.now engine))
+  in
+  ignore (Engine.schedule_at engine 5 (fun () -> Fiber.kill waiter));
+  Engine.run engine;
+  Alcotest.(check string) "Killed raised at the wake" "killed at 20" !outcome
 
 let test_fiber_exception_escapes () =
   let engine = Engine.create () in
@@ -427,6 +476,33 @@ let test_fiber_exception_escapes () =
          ignore (Fiber.spawn (fun () -> failwith "boom"))));
   Alcotest.check_raises "exception escapes to scheduler"
     (Failure "boom") (fun () -> Engine.run engine)
+
+let raise_not_found () = raise Not_found [@@inline never]
+
+let test_fiber_exception_keeps_backtrace () =
+  (* The scheduler must see where the exception was raised, not the
+     fiber runner's re-raise. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let engine = Engine.create () in
+  ignore
+    (Fiber.spawn ~engine (fun () ->
+         Fiber.sleep engine 1;
+         raise_not_found ()));
+  let first_file =
+    match Engine.run engine with
+    | () -> None
+    | exception Not_found -> (
+        match Printexc.backtrace_slots (Printexc.get_raw_backtrace ()) with
+        | Some slots when Array.length slots > 0 ->
+            Option.map
+              (fun loc -> loc.Printexc.filename)
+              (Printexc.Slot.location slots.(0))
+        | Some _ | None -> None)
+  in
+  Printexc.record_backtrace recording;
+  Alcotest.(check (option string))
+    "first frame is the raise site" (Some "test/test_sim.ml") first_file
 
 let test_fiber_park_wake () =
   (* A fiber parks on its own waker armed as a timer; a second wake-up of
@@ -564,6 +640,27 @@ let test_mutex_released_on_exception () =
   Engine.run engine;
   check_bool "released after exception" true !second_ran;
   check_bool "unlocked at rest" false (Fiber_mutex.locked mutex)
+
+let test_mutex_handoff_allocation () =
+  (* One contended handoff: a child queues behind the holder, which sleeps
+     and then passes ownership straight to it. *)
+  let engine = Engine.create () in
+  let mutex = Fiber_mutex.create () in
+  let words = ref 0 in
+  ignore
+    (Fiber.spawn ~engine (fun () ->
+         words :=
+           Alloc_probe.words_per_cycle (fun () ->
+               Fiber_mutex.lock mutex;
+               ignore
+                 (Fiber.spawn ~engine (fun () ->
+                      Fiber_mutex.lock mutex;
+                      Fiber_mutex.unlock mutex));
+               Fiber.sleep engine 1;
+               Fiber_mutex.unlock mutex;
+               Fiber.sleep engine 1)));
+  Engine.run engine;
+  check_int "minor words per contended handoff cycle" 70 !words
 
 let test_mutex_killed_waiter_passes_ownership () =
   let engine = Engine.create () in
@@ -736,13 +833,23 @@ let () =
         [
           Alcotest.test_case "sleep sequence" `Quick test_fiber_sleep_sequence;
           Alcotest.test_case "kill stops execution" `Quick test_fiber_kill_stops_execution;
-          Alcotest.test_case "resume once" `Quick test_fiber_resume_once;
           Alcotest.test_case "exception escapes" `Quick test_fiber_exception_escapes;
+          Alcotest.test_case "exception keeps its backtrace" `Quick
+            test_fiber_exception_keeps_backtrace;
           Alcotest.test_case "park and wake" `Quick test_fiber_park_wake;
           Alcotest.test_case "ids are per engine" `Quick
             test_fiber_ids_per_engine;
           Alcotest.test_case "sleep allocation" `Quick
             test_fiber_sleep_allocation;
+        ] );
+      ( "join",
+        [
+          Alcotest.test_case "zero children" `Quick test_join_zero_children;
+          Alcotest.test_case "children done before await" `Quick
+            test_join_children_done_first;
+          Alcotest.test_case "children done after park" `Quick
+            test_join_children_done_later;
+          Alcotest.test_case "killed waiter" `Quick test_join_killed_waiter;
         ] );
       ( "vec",
         [
@@ -768,6 +875,8 @@ let () =
           Alcotest.test_case "released on exception" `Quick test_mutex_released_on_exception;
           Alcotest.test_case "killed waiter passes ownership" `Quick
             test_mutex_killed_waiter_passes_ownership;
+          Alcotest.test_case "handoff allocation" `Quick
+            test_mutex_handoff_allocation;
         ] );
       ( "trace",
         [
